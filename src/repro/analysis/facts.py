@@ -24,11 +24,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 #: Codec function names the coverage check keys on (see ANALYSIS.md):
-#: the flat v1 encoder/decoder pair and the interning v2 pair.
-ENCODE_V1_FN = "_encode_value"
-ENCODE_V2_METHOD = "value"
-DECODE_V1_FN = "_decode_value"
-DECODE_V2_FN = "_decode_value_v2"
+#: the tagged-value pair (an encoder-class method and a module function)
+#: and the DGC record-column pair.
+ENCODE_TAGGED_METHOD = "value"
+DECODE_TAGGED_FN = "_decode_value"
+ENCODE_RECORD_METHOD = "record"
+DECODE_RECORD_FN = "_decode_record"
 
 
 @dataclass(frozen=True)
@@ -60,24 +61,29 @@ class ManifestEntry:
 
 @dataclass
 class CodecFacts:
-    """Which composite classes each codec function branch-dispatches."""
+    """Which composite classes each codec function branch-dispatches
+    (encoders) or constructs (decoders)."""
 
     path: str
-    encode_v1: Set[str] = field(default_factory=set)
-    encode_v2: Set[str] = field(default_factory=set)
-    decode_v1: Set[str] = field(default_factory=set)
-    decode_v2: Set[str] = field(default_factory=set)
+    encode_tagged: Set[str] = field(default_factory=set)
+    decode_tagged: Set[str] = field(default_factory=set)
+    encode_records: Set[str] = field(default_factory=set)
+    decode_records: Set[str] = field(default_factory=set)
     #: class name -> (line, col) of its first occurrence in the file,
     #: used to anchor coverage findings somewhere clickable.
     first_seen: Dict[str, Tuple[int, int]] = field(default_factory=dict)
 
-    def function_sets(self) -> Dict[str, Set[str]]:
-        return {
-            ENCODE_V1_FN: self.encode_v1,
-            f"{ENCODE_V2_METHOD} (v2 encoder)": self.encode_v2,
-            DECODE_V1_FN: self.decode_v1,
-            DECODE_V2_FN: self.decode_v2,
-        }
+    def function_pairs(self) -> List[Tuple[Tuple[str, Set[str]], ...]]:
+        """Each encode/decode pair, as ``(name, classes)`` halves; a
+        class either half handles must be handled by both."""
+        return [
+            ((f"{ENCODE_TAGGED_METHOD} (tagged encoder)",
+              self.encode_tagged),
+             (DECODE_TAGGED_FN, self.decode_tagged)),
+            ((f"{ENCODE_RECORD_METHOD} (record encoder)",
+              self.encode_records),
+             (DECODE_RECORD_FN, self.decode_records)),
+        ]
 
 
 @dataclass
@@ -336,12 +342,17 @@ def _is_comparison_classes(node: ast.Compare) -> Set[str]:
 
 
 def _collect_codec(sf, facts: ProjectFacts) -> None:
-    has_encode = any(
-        isinstance(n, ast.FunctionDef) and n.name == ENCODE_V1_FN
+    has_decode = any(
+        isinstance(n, ast.FunctionDef) and n.name == DECODE_TAGGED_FN
         for n in ast.walk(sf.tree)
     )
-    has_decode = any(
-        isinstance(n, ast.FunctionDef) and n.name == DECODE_V1_FN
+    has_encode = any(
+        isinstance(n, ast.ClassDef)
+        and any(
+            isinstance(item, ast.FunctionDef)
+            and item.name == ENCODE_TAGGED_METHOD
+            for item in n.body
+        )
         for n in ast.walk(sf.tree)
     )
     if not (has_encode and has_decode):
@@ -355,18 +366,17 @@ def _collect_codec(sf, facts: ProjectFacts) -> None:
     for node in ast.walk(sf.tree):
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if (
-                    isinstance(item, ast.FunctionDef)
-                    and item.name == ENCODE_V2_METHOD
-                ):
-                    codec.encode_v2 |= _branch_classes(item)
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                if item.name == ENCODE_TAGGED_METHOD:
+                    codec.encode_tagged |= _branch_classes(item)
+                elif item.name == ENCODE_RECORD_METHOD:
+                    codec.encode_records |= _branch_classes(item)
         elif isinstance(node, ast.FunctionDef):
-            if node.name == ENCODE_V1_FN:
-                codec.encode_v1 |= _branch_classes(node)
-            elif node.name == DECODE_V1_FN:
-                codec.decode_v1 |= _constructed_classes(node)
-            elif node.name == DECODE_V2_FN:
-                codec.decode_v2 |= _constructed_classes(node)
+            if node.name == DECODE_TAGGED_FN:
+                codec.decode_tagged |= _constructed_classes(node)
+            elif node.name == DECODE_RECORD_FN:
+                codec.decode_records |= _constructed_classes(node)
     facts.codec = codec
 
 

@@ -125,30 +125,33 @@ class KindCodec(ProjectRule):
     summary = (
         "every registered kind must declare its payload classes in "
         "KIND_PAYLOAD_TYPES, and every payload class must have "
-        "matching encode/decode branches in both wire formats"
+        "matching encode and decode branches in the wire codec"
     )
 
     def finalize(self, facts: ProjectFacts) -> Iterator[Finding]:
         codec = facts.codec
         if codec is None:
             return
-        sets = codec.function_sets()
-        union: Set[str] = set().union(*sets.values())
-        # Leg 1: symmetric coverage — a class encoded or decoded
-        # anywhere must be covered by all four codec functions.
-        for name in sorted(union):
-            missing = sorted(fn for fn, s in sets.items() if name not in s)
-            if missing:
-                present = sorted(fn for fn, s in sets.items() if name in s)
-                line, col = codec.first_seen.get(name, (1, 0))
-                yield Finding(
-                    rule=self.id, path=codec.path, line=line, col=col,
-                    message=(
-                        f"codec coverage for {name} is asymmetric: handled "
-                        f"by {', '.join(present)} but missing from "
-                        f"{', '.join(missing)}"
-                    ),
-                )
+        union: Set[str] = set()
+        # Leg 1: symmetric coverage — a class one half of an
+        # encode/decode pair handles must be handled by the other half
+        # (the tagged codec, and the DGC record columns).
+        for halves in codec.function_pairs():
+            handled = set().union(*(classes for _, classes in halves))
+            union |= handled
+            for name in sorted(handled):
+                missing = [fn for fn, classes in halves if name not in classes]
+                if missing:
+                    present = [fn for fn, classes in halves if name in classes]
+                    line, col = codec.first_seen.get(name, (1, 0))
+                    yield Finding(
+                        rule=self.id, path=codec.path, line=line, col=col,
+                        message=(
+                            f"codec coverage for {name} is asymmetric: "
+                            f"handled by {', '.join(present)} but missing "
+                            f"from {', '.join(missing)}"
+                        ),
+                    )
         # Leg 2: the kind -> payload manifest.
         if facts.payload_entries is None:
             return

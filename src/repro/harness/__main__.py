@@ -132,12 +132,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--live when given)",
     )
     run_cmd.add_argument(
-        "--wire-version", type=int, choices=[1, 2], default=None,
-        help="cross-shard frame format for --live: 1 = the flat v1 "
-        "encoding, 2 = interned/varint runs with persistent per-channel "
-        "state (the default)",
-    )
-    run_cmd.add_argument(
         "--ttb", type=float, default=None, help="heartbeat period override"
     )
     run_cmd.add_argument(
@@ -387,14 +381,6 @@ def _run_workload(args: argparse.Namespace) -> int:
 
     if args.live or args.shards is not None:
         return _run_sharded(args)
-    if args.wire_version is not None:
-        print(
-            "error: --wire-version only applies to --live (it selects "
-            "the cross-shard frame format; a single-process run has no "
-            "wire)",
-            file=sys.stderr,
-        )
-        return 2
 
     def config_for(base):
         if args.no_dgc:
@@ -696,8 +682,6 @@ def _run_sharded(args: argparse.Namespace) -> int:
         sharded = ShardedWorld(
             topology, shards, workload=workload, params=params,
             dgc=dgc, registry=registry, seed=args.seed,
-            **({} if args.wire_version is None
-               else dict(wire_version=args.wire_version)),
         )
         result = sharded.run()
     except ConfigurationError as exc:
@@ -713,7 +697,6 @@ def _run_sharded(args: argparse.Namespace) -> int:
          f"{result.collected_acyclic}/{result.collected_cyclic}"],
         ["dead letters", result.dead_letters],
         ["barrier rounds", result.rounds],
-        ["wire version", f"v{result.wire_version}"],
         ["cross-shard frames", result.frame_count],
         ["frame KB", f"{result.frame_bytes / 1e3:.1f}"],
         ["frame bytes/entry",

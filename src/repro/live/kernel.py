@@ -11,8 +11,9 @@ through :meth:`advance`, which fires every event strictly before a
 horizon inline on the calling thread.  This is the mode the sharded
 world (:mod:`repro.shard`) runs each shard worker in — the coordinator
 grants conservative horizons round by round, and determinism requires
-exactly this single-threaded, caller-paced execution.  Everything else
-(heap layout, beat wheel, counters) is shared between the modes.
+exactly this single-threaded, caller-paced execution, so the mode
+schedules without taking any lock.  Everything else (heap layout, beat
+wheel, counters) is shared between the modes.
 """
 
 from __future__ import annotations
@@ -65,7 +66,10 @@ class LiveKernel:
         #: Beat wheel shared by all ``schedule_periodic`` callers; its
         #: lock is reentrant because bucket callbacks (running on the
         #: scheduler thread, under the lock) may register/stop members.
-        self._beats = BeatWheel(self, lock=threading.RLock())
+        #: The caller-driven mode has no second thread and no lock.
+        self._beats = BeatWheel(
+            self, lock=None if virtual_time else threading.RLock()
+        )
         self._thread: Optional[threading.Thread] = None
         if virtual_time:
             # Caller-driven mode: no scheduler thread; ``_now`` is the
@@ -138,18 +142,28 @@ class LiveKernel:
         *args: Any,
         label: str = "",
     ) -> Event:
+        if self._virtual:
+            # Caller-driven mode is single-threaded: no lock, no wakeup.
+            return self._push_event(when, callback, args, label)
         with self._wakeup:
-            if self._shutdown:
-                raise SimulationError("kernel is shut down")
-            seq = next(self._seq)
-            event = Event(when, seq, callback, args, label)
-            event.owner = self
-            heapq.heappush(self._heap, (when, seq, event, callback, args))
-            self._scheduled += 1
-            self._pending += 1
-            if self._pending > self._peak_pending:
-                self._peak_pending = self._pending
+            event = self._push_event(when, callback, args, label)
             self._wakeup.notify()
+        return event
+
+    def _push_event(
+        self, when: float, callback: Callable[..., None], args: tuple,
+        label: str,
+    ) -> Event:
+        if self._shutdown:
+            raise SimulationError("kernel is shut down")
+        seq = next(self._seq)
+        event = Event(when, seq, callback, args, label)
+        event.owner = self
+        heapq.heappush(self._heap, (when, seq, event, callback, args))
+        self._scheduled += 1
+        self._pending += 1
+        if self._pending > self._peak_pending:
+            self._peak_pending = self._pending
         return event
 
     def schedule_fire_at(
@@ -162,17 +176,23 @@ class LiveKernel:
         work is pushed without allocating an :class:`Event`, honouring
         the documented event-less contract for never-cancelled
         deliveries."""
+        if self._virtual:
+            self._push_fire(when, callback, args)
+            return
         with self._wakeup:
-            if self._shutdown:
-                raise SimulationError("kernel is shut down")
-            heapq.heappush(
-                self._heap, (when, next(self._seq), None, callback, args)
-            )
-            self._scheduled += 1
-            self._pending += 1
-            if self._pending > self._peak_pending:
-                self._peak_pending = self._pending
+            self._push_fire(when, callback, args)
             self._wakeup.notify()
+
+    def _push_fire(
+        self, when: float, callback: Callable[..., None], args: tuple
+    ) -> None:
+        if self._shutdown:
+            raise SimulationError("kernel is shut down")
+        heapq.heappush(self._heap, (when, next(self._seq), None, callback, args))
+        self._scheduled += 1
+        self._pending += 1
+        if self._pending > self._peak_pending:
+            self._peak_pending = self._pending
 
     def _on_event_cancelled(self) -> None:
         """Event-owner hook (see :meth:`Event.cancel`): a cancelled

@@ -1,78 +1,78 @@
 """Struct-packed cross-shard wire frames.
 
-The sharded world (:mod:`repro.shard`) reuses the columnar pulse from
-the batched delivery cores as the *literal* wire frame between shard
-processes: a staged pulse entry — delivery instant, destination node,
-traffic kind, item/payload columns — is exactly what a remote shard
-needs to stage the delivery into its own pulse, so the egress packs
-those fields and nothing else.
+The sharded world (:mod:`repro.shard`) moves staged pulse entries
+between shard processes: a staged entry — delivery instant, destination
+node, traffic kind, item/payload columns — is exactly what a remote
+shard needs to stage the delivery into its own pulse, so the egress
+packs those fields and nothing else.
 
-Frames are pickle-free: every value crossing the boundary is encoded by
-a small tagged ``struct`` codec that knows the closed set of fabric
-message types (:mod:`repro.runtime.request` dataclasses,
-:class:`repro.core.wire.DgcMessage`/:class:`~repro.core.wire.DgcResponse`,
-:class:`repro.runtime.proxy.RemoteRef`,
-:class:`repro.core.clock.ActivityClock`) plus the plain containers
-their fields are built from.  Two properties the shard protocol relies
-on:
+Frames are pickle-free and validated.  Two properties the shard
+protocol relies on:
 
-* **round-trip is bit-identical** — ``unpack(pack(entries))`` yields
-  entries whose every field compares equal, and whose *kind* is the
-  canonical interned constant from :mod:`repro.net.kinds` (the columnar
-  fire loop dispatches on kind identity, so returning an equal-but-
-  distinct string would silently fall off the fast path);
+* **round-trip is bit-identical** — every decoded field compares equal
+  to the staged one (delivery instants to the IEEE bit), and kinds
+  come back as the canonical interned constants from
+  :mod:`repro.net.kinds` (the columnar fire loop dispatches on kind
+  identity, so an equal-but-distinct string would silently fall off
+  the fast path);
 * **frames are self-delimiting and validated** — a truncated or
   corrupted buffer raises :class:`WireFormatError` instead of returning
   garbage.
 
-Two frame formats share the header struct and are told apart by magic:
+**Blocks.**  Entries are grouped into *blocks* by ``(delivery instant,
+destination node, kind)``, blocks in first-occurrence order, rows in
+staged order within a block.  A DGC single and a site-pair aggregate
+run of the same family (``dgc.message`` and ``dgc.message[]``) land in
+the same block, so a DGC block is exactly the staged-order traffic of
+one family that one destination receives at one instant; it decodes to
+*one* aggregate entry (flat target/record lists) for the receiving
+node's batch sink.  Any other block decodes to one entry per row.
+Delivery instants key blocks by value, with ``-0.0`` and ``0.0`` kept
+apart so every instant round-trips to the bit.
 
-**v1** (magic ``0x5D57``) is the original flat encoding — every entry
-pays a fixed 11-byte head (f64 delivery, u16 dest, u8 kind) and every
-value is encoded in full at every occurrence.
+**Layout.**  A 12-byte header ``(magic, src_shard, seq, entry count)``,
+then a columnar body:
 
-**v2** (magic ``0x5D58``, the default) is the compact encoding.  Layout
-after the shared header:
+1. the block table — kind indices, block sizes, delivery instants and
+   destination indices, one fixed-width column each;
+2. the DGC columns — target activity ids, then
+   :class:`~repro.core.wire.DgcMessage` and
+   :class:`~repro.core.wire.DgcResponse` records, each one
+   fixed-width column of intern indices over every DGC block of the
+   frame;
+3. the rows of every other block (application and registry traffic):
+   ``item, payload`` in a small tagged codec that knows the closed set
+   of fabric types (:mod:`repro.runtime.request`,
+   :class:`~repro.runtime.proxy.RemoteRef`,
+   :class:`~repro.core.clock.ActivityClock`) and the plain containers
+   their fields are built from.
 
-* entries are grouped into *runs* of adjacent same-kind entries:
-  ``varint run_length, varint kind_index`` then the run's entries —
-  per-entry kind bytes collapse into one column header per run;
-* each entry is ``delivery value, varint dest_index, item value,
-  payload value``;
-* values use the v1 tag set plus ``_T_BACKREF``: strings, floats and
-  the frozen fabric composites (``ActivityClock``, ``RemoteRef``,
-  ``ReplyAddress``, ``DgcMessage``, ``DgcResponse``) are *interned* in
-  a per-frame table in encode order, so every repeat — a beat's one
-  ``DgcMessage`` fanned out across dozens of targets, an activity id
-  recurring through a frame, a constant ``sender_ttb`` — costs a two-
-  or three-byte backref instead of a re-encoding.  Backrefs also
-  restore *sharing* on decode: the fan-out targets get the same
-  message object, exactly as in-process delivery would;
-* integers ride zigzag varints (``_T_BIGINT`` keeps the >64-bit
-  escape); delivery instants are ordinary float values, which the
-  intern table collapses because staged deliveries are quantized to
-  beat-bucket + channel-latency instants — the delta coding is against
-  the table, not the previous entry, so bit-identity is structural;
-* decode is zero-copy: one ``memoryview`` over the frame,
-  ``struct.unpack_from`` for fixed fields and direct ``str(view,
-  "utf-8")`` for text — no intermediate ``bytes`` slices.
+**Interning.**  An interned column is ``varint length, varint fresh``,
+the fresh values' literals in registration order, then ``length``
+indices whose width (1, 2 or 4 bytes, little-endian) follows from the
+table size, which both ends know.  Delivery instants are interned per
+frame only (they move on); target ids and records persist across the
+frames of a channel (below).  The encoder looks records up by
+identity first (the fabric fans one message object out to many
+targets), then by value, so equal-but-distinct records share a slot;
+decoding restores that sharing — fan-out targets receive the same
+message object, exactly as in-process delivery would.  Literals are
+written with the tagged codec, whose strings, floats and frozen fabric
+composites intern too, behind a backref tag.  Decode is zero-copy: one
+``memoryview`` over the frame, index columns read straight into
+``array`` objects.
 
-Both formats stay decodable (:func:`unpack_frame` dispatches on magic)
-and round-trip bit-identically on the same property suite;
-:func:`pack_frame` takes ``version=`` for the harness knob.
-
-**Channel persistence.**  The v2 intern table is per-frame by default,
+**Channel persistence.**  The intern tables are per-frame by default,
 which makes every frame self-contained — but on a shard channel the
-same activity ids, clocks and messages recur frame after frame, so the
-steady state re-encodes the same strings forever.  A
+same activity ids, clocks and messages recur frame after frame.  A
 :class:`ChannelEncoder` / :class:`ChannelDecoder` pair carries the
-table *across* frames: pass them to :func:`pack_frame` /
-:func:`unpack_frame` and a value interned in frame ``n`` is a backref
+tables *across* frames: pass them to :func:`pack_frame` /
+:func:`unpack_frame` and a value interned in frame ``n`` is one index
 in frame ``n+k``.  This is sound exactly because the shard fabric
 already guarantees per-channel FIFO: frames carry a ``(src_shard,
 seq)`` stamp, the coordinator routes them in stamp order and the
-worker decodes each channel's frames in seq order — the decode table
-replays the encoder's registrations move for move.  Two rules follow:
+worker decodes each channel's frames in seq order — the decode tables
+replay the encoder's registrations move for move.  Two rules follow:
 
 * a channel pair is **one direction of one (src, dst) shard pair** —
   never share an encoder between destinations or a decoder between
@@ -82,9 +82,8 @@ replays the encoder's registrations move for move.  Two rules follow:
   decode error as fatal, so this is moot in the fabric).
 
 The encoder pins every registered value (a strong reference), so the
-``id()``-keyed identity memo can never alias a dead object's reused
-address across frames.  Stateless calls are unchanged and remain the
-default; v1 has no channel state (passing one raises).
+``id()``-keyed identity memos can never alias a dead object's reused
+address across frames.
 
 Naming note (ROADMAP): the DGC *protocol* message types stay in
 :mod:`repro.core.wire` — they are protocol state, not transport.  This
@@ -97,6 +96,8 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
+from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.clock import ActivityClock
@@ -104,6 +105,7 @@ from repro.core.wire import DgcMessage, DgcResponse
 from repro.errors import NetworkError
 from repro.net import kinds as _kinds
 from repro.net.kinds import (
+    AGGREGATE_KINDS,
     KIND_APP_REPLY,
     KIND_APP_REQUEST,
     KIND_DGC_MESSAGE,
@@ -136,20 +138,16 @@ class WireFormatError(NetworkError):
 
 
 #: Frame magic: rejects frames from a foreign protocol (or a desynced
-#: stream) before any lengths are trusted.  v1 and v2 share the header
-#: struct; the magic doubles as the format version.
-FRAME_MAGIC = 0x5D57
-FRAME_MAGIC_V2 = 0x5D58
+#: stream) before any lengths are trusted.
+FRAME_MAGIC = 0x5D59
 
-#: The format :func:`pack_frame` emits when no ``version`` is given.
-DEFAULT_WIRE_VERSION = 2
-
-_HEADER = struct.Struct("!HHIId")  # magic, src_shard, seq, count, min_delivery
-_ENTRY_HEAD = struct.Struct("!dHB")  # delivery, dest node index, kind index
+_HEADER = struct.Struct("!HHII")  # magic, src_shard, seq, entry count
 _F64 = struct.Struct("!d")
-_I64 = struct.Struct("!q")
-_U32 = struct.Struct("!I")
-_U8 = struct.Struct("!B")
+
+#: Index columns are little-endian on the wire.
+_SWAP = sys.byteorder != "little"
+#: Block-size column width byte -> array typecode.
+_SIZE_CODES = {1: "B", 2: "H", 4: "I"}
 
 # Tagged-value encoding: one tag byte, then a fixed field layout per
 # tag.  Compound fabric types encode their fields recursively with the
@@ -166,15 +164,13 @@ _T_BYTES = 0x07
 _T_TUPLE = 0x08
 _T_LIST = 0x09
 _T_DICT = 0x0A
-#: v2 only: a varint index into the frame's intern table.
+#: A varint index into the tagged intern table.
 _T_BACKREF = 0x0B
 _T_CLOCK = 0x10
 _T_REMOTE_REF = 0x11
 _T_REPLY_ADDRESS = 0x12
 _T_REQUEST = 0x13
 _T_REPLY = 0x14
-_T_DGC_MESSAGE = 0x15
-_T_DGC_RESPONSE = 0x16
 _T_REG_LOOKUP = 0x17
 _T_REG_REPLY = 0x18
 _T_REG_BIND = 0x19
@@ -187,45 +183,43 @@ _T_REG_PUSH = 0x1E
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 
+_AGG_DGC_MESSAGE = AGGREGATE_KINDS[KIND_DGC_MESSAGE]
+_AGG_DGC_RESPONSE = AGGREGATE_KINDS[KIND_DGC_RESPONSE]
 
-def kind_table() -> Tuple[str, ...]:
-    """The shared kind-index table: every registered kind in canonical
-    order, followed by the site-pair aggregate markers.  Both sides of a
-    pipe derive the same table because workers fork from the coordinator
-    after all ``register_kind`` calls — the table is re-derived per call
-    (the registry rebinds its tuples on registration), memoized on the
-    identity of the registry's current ``ALL_KINDS`` tuple."""
-    global _KIND_CACHE
-    base = _kinds.ALL_KINDS
-    cached = _KIND_CACHE
-    if cached is not None and cached[0] is base:
-        return cached[1]
-    table = list(base)
-    for kind in base:
-        aggregate = _kinds.AGGREGATE_KINDS.get(kind)
-        if aggregate is not None:
-            table.append(aggregate)
-    result = tuple(table)
-    _KIND_CACHE = (base, result)
-    return result
+#: Staged DGC kind -> (block kind, row is an aggregate run).  Every
+#: other kind is its own block kind with one item per row.
+_DGC_ROWS = {
+    KIND_DGC_MESSAGE: (KIND_DGC_MESSAGE, False),
+    _AGG_DGC_MESSAGE: (KIND_DGC_MESSAGE, True),
+    KIND_DGC_RESPONSE: (KIND_DGC_RESPONSE, False),
+    _AGG_DGC_RESPONSE: (KIND_DGC_RESPONSE, True),
+}
 
 
-_KIND_CACHE: Optional[Tuple[Tuple[str, ...], Tuple[str, ...]]] = None
+def _kind_index() -> Dict[str, int]:
+    """Registered kind -> frame kind index, memoized on the identity of
+    the registry's current ``ALL_KINDS`` tuple (``register_kind``
+    rebinds it).  Both ends of a pipe derive the same table: workers
+    fork from the coordinator after every registration."""
+    global _KIND_INDEX
+    table = _kinds.ALL_KINDS
+    if _KIND_INDEX[0] is not table:
+        _KIND_INDEX = (
+            table, {kind: position for position, kind in enumerate(table)}
+        )
+    return _KIND_INDEX[1]
 
 
-def kind_index() -> Dict[str, int]:
-    """Kind -> table index, memoized alongside :func:`kind_table`."""
-    global _KIND_INDEX_CACHE
-    table = kind_table()
-    cached = _KIND_INDEX_CACHE
-    if cached is not None and cached[0] is table:
-        return cached[1]
-    index = {kind: position for position, kind in enumerate(table)}
-    _KIND_INDEX_CACHE = (table, index)
-    return index
+_KIND_INDEX: Tuple[Tuple[str, ...], Dict[str, int]] = ((), {})
 
 
-_KIND_INDEX_CACHE: Optional[Tuple[Tuple[str, ...], Dict[str, int]]] = None
+def _index_code(size: int) -> str:
+    """Array typecode of an index column over a ``size``-value table."""
+    if size <= 0x100:
+        return "B"
+    if size <= 0x10000:
+        return "H"
+    return "I"
 
 
 #: Which payload classes each registered kind puts on the cross-shard
@@ -233,10 +227,10 @@ _KIND_INDEX_CACHE: Optional[Tuple[Tuple[str, ...], Dict[str, int]]] = None
 #: (the reply doubles as the bind/unbind ack; the renew kind carries
 #: both the batch and its ack).  The ``KIND-codec`` rule in
 #: :mod:`repro.analysis` checks the manifest stays total over the
-#: registry and that every class named here has matching branches in
-#: all four codec functions, so adding a kind without teaching both
-#: wire versions to carry it fails the lint instead of raising
-#: :class:`WireFormatError` mid-run.
+#: registry and that every class named here has matching encode and
+#: decode branches (the tagged codec, or the DGC record columns), so
+#: adding a kind without teaching the codec to carry it fails the lint
+#: instead of raising :class:`WireFormatError` mid-run.
 KIND_PAYLOAD_TYPES = {
     KIND_DGC_MESSAGE: (DgcMessage,),
     KIND_DGC_RESPONSE: (DgcResponse,),
@@ -251,343 +245,58 @@ KIND_PAYLOAD_TYPES = {
 }
 
 
-# ----------------------------------------------------------------------
-# Value encoding
-# ----------------------------------------------------------------------
-
-
-def _encode_str(out: bytearray, text: str) -> None:
-    raw = text.encode("utf-8")
-    out += _U32.pack(len(raw))
-    out += raw
-
-
-def _encode_value(out: bytearray, value) -> None:
-    if value is None:
-        out.append(_T_NONE)
-    elif value is True:
-        out.append(_T_TRUE)
-    elif value is False:
-        out.append(_T_FALSE)
-    elif type(value) is str:
-        out.append(_T_STR)
-        _encode_str(out, value)
-    elif type(value) is int:
-        if _INT64_MIN <= value <= _INT64_MAX:
-            out.append(_T_INT)
-            out += _I64.pack(value)
-        else:
-            raw = value.to_bytes(
-                (value.bit_length() + 8) // 8, "big", signed=True
-            )
-            out.append(_T_BIGINT)
-            out += _U32.pack(len(raw))
-            out += raw
-    elif type(value) is float:
-        out.append(_T_FLOAT)
-        out += _F64.pack(value)
-    elif type(value) is bytes:
-        out.append(_T_BYTES)
-        out += _U32.pack(len(value))
-        out += value
-    elif type(value) is tuple:
-        out.append(_T_TUPLE)
-        out += _U32.pack(len(value))
-        for element in value:
-            _encode_value(out, element)
-    elif type(value) is list:
-        out.append(_T_LIST)
-        out += _U32.pack(len(value))
-        for element in value:
-            _encode_value(out, element)
-    elif type(value) is dict:
-        out.append(_T_DICT)
-        out += _U32.pack(len(value))
-        for key, entry in value.items():
-            _encode_value(out, key)
-            _encode_value(out, entry)
-    elif type(value) is ActivityClock:
-        out.append(_T_CLOCK)
-        out += _I64.pack(value.value)
-        _encode_str(out, value.owner)
-    elif type(value) is RemoteRef:
-        out.append(_T_REMOTE_REF)
-        _encode_str(out, value.activity_id)
-        _encode_str(out, value.node)
-    elif type(value) is ReplyAddress:
-        out.append(_T_REPLY_ADDRESS)
-        _encode_str(out, value.node)
-        _encode_str(out, value.activity)
-        out += _I64.pack(value.future_id)
-    elif type(value) is Request:
-        out.append(_T_REQUEST)
-        _encode_str(out, value.method)
-        _encode_str(out, value.sender)
-        _encode_str(out, value.target)
-        out += _I64.pack(value.payload_bytes)
-        out += _I64.pack(value.request_id)
-        _encode_value(out, tuple(value.refs))
-        _encode_value(out, value.data)
-        _encode_value(out, value.reply_to)
-    elif type(value) is Reply:
-        out.append(_T_REPLY)
-        out += _I64.pack(value.future_id)
-        _encode_str(out, value.target_activity)
-        out += _I64.pack(value.payload_bytes)
-        _encode_value(out, tuple(value.refs))
-        _encode_value(out, value.data)
-    elif type(value) is DgcMessage:
-        out.append(_T_DGC_MESSAGE)
-        _encode_str(out, value.sender)
-        out += _I64.pack(value.clock.value)
-        _encode_str(out, value.clock.owner)
-        out.append(1 if value.consensus else 0)
-        _encode_str(out, value.sender_ref.activity_id)
-        _encode_str(out, value.sender_ref.node)
-        out += _F64.pack(value.sender_ttb)
-    elif type(value) is DgcResponse:
-        out.append(_T_DGC_RESPONSE)
-        _encode_str(out, value.responder)
-        out += _I64.pack(value.clock.value)
-        _encode_str(out, value.clock.owner)
-        out.append(1 if value.has_parent else 0)
-        out.append(1 if value.consensus_reached else 0)
-        _encode_value(out, value.depth)
-    elif type(value) is RegistryLookup:
-        out.append(_T_REG_LOOKUP)
-        _encode_str(out, value.name)
-        _encode_value(out, value.reply_to)
-    elif type(value) is RegistryReply:
-        out.append(_T_REG_REPLY)
-        out += _I64.pack(value.future_id)
-        _encode_str(out, value.target_activity)
-        _encode_str(out, value.name)
-        _encode_value(out, value.ref)
-        out += _F64.pack(value.lease_s)
-    elif type(value) is RegistryBind:
-        out.append(_T_REG_BIND)
-        _encode_str(out, value.name)
-        _encode_value(out, value.ref)
-        _encode_value(out, value.reply_to)
-    elif type(value) is RegistryAck:
-        out.append(_T_REG_ACK)
-        out += _I64.pack(value.future_id)
-        _encode_str(out, value.target_activity)
-        _encode_str(out, value.name)
-        out.append(1 if value.ok else 0)
-        _encode_str(out, value.error)
-    elif type(value) is RegistryRenew:
-        out.append(_T_REG_RENEW)
-        _encode_str(out, value.node)
-        _encode_value(out, value.names)
-    elif type(value) is RegistryRenewAck:
-        out.append(_T_REG_RENEW_ACK)
-        _encode_value(out, value.names)
-        out += _F64.pack(value.lease_s)
-    elif type(value) is RegistryInvalidate:
-        out.append(_T_REG_INVALIDATE)
-        _encode_value(out, value.names)
-    elif type(value) is RegistryPush:
-        out.append(_T_REG_PUSH)
-        _encode_value(out, value.bindings)
-    else:
-        raise WireFormatError(
-            f"cannot encode {type(value).__name__!r} on the shard wire"
-        )
-
-
-# ----------------------------------------------------------------------
-# Value decoding
-# ----------------------------------------------------------------------
-
-
-class _Reader:
-    """Bounds-checked cursor over one frame buffer."""
-
-    __slots__ = ("buf", "pos", "end")
-
-    def __init__(self, buf, pos: int, end: int) -> None:
-        self.buf = buf
-        self.pos = pos
-        self.end = end
-
-    def take(self, count: int):
-        pos = self.pos
-        stop = pos + count
-        if stop > self.end:
-            raise WireFormatError(
-                f"truncated frame: wanted {count} bytes at offset {pos}, "
-                f"{self.end - pos} available"
-            )
-        self.pos = stop
-        return self.buf[pos:stop]
-
-    def u8(self) -> int:
-        return _U8.unpack(self.take(1))[0]
-
-    def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
-
-    def i64(self) -> int:
-        return _I64.unpack(self.take(8))[0]
-
-    def f64(self) -> float:
-        return _F64.unpack(self.take(8))[0]
-
-    def text(self) -> str:
-        length = self.u32()
-        try:
-            return bytes(self.take(length)).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise WireFormatError(f"corrupt string field: {exc}") from None
-
-
-def _decode_value(reader: _Reader):
-    tag = reader.u8()
-    if tag == _T_NONE:
-        return None
-    if tag == _T_TRUE:
-        return True
-    if tag == _T_FALSE:
-        return False
-    if tag == _T_INT:
-        return reader.i64()
-    if tag == _T_BIGINT:
-        raw = bytes(reader.take(reader.u32()))
-        return int.from_bytes(raw, "big", signed=True)
-    if tag == _T_FLOAT:
-        return reader.f64()
-    if tag == _T_STR:
-        return reader.text()
-    if tag == _T_BYTES:
-        return bytes(reader.take(reader.u32()))
-    if tag == _T_TUPLE:
-        count = reader.u32()
-        return tuple(_decode_value(reader) for _ in range(count))
-    if tag == _T_LIST:
-        count = reader.u32()
-        return [_decode_value(reader) for _ in range(count)]
-    if tag == _T_DICT:
-        count = reader.u32()
-        return {
-            _decode_value(reader): _decode_value(reader)
-            for _ in range(count)
-        }
-    if tag == _T_CLOCK:
-        return ActivityClock(reader.i64(), reader.text())
-    if tag == _T_REMOTE_REF:
-        return RemoteRef(reader.text(), reader.text())
-    if tag == _T_REPLY_ADDRESS:
-        return ReplyAddress(reader.text(), reader.text(), reader.i64())
-    if tag == _T_REQUEST:
-        method = reader.text()
-        sender = reader.text()
-        target = reader.text()
-        payload_bytes = reader.i64()
-        request_id = reader.i64()
-        refs = _decode_value(reader)
-        data = _decode_value(reader)
-        reply_to = _decode_value(reader)
-        return Request(
-            method,
-            sender,
-            target,
-            payload_bytes=payload_bytes,
-            refs=refs,
-            data=data,
-            reply_to=reply_to,
-            request_id=request_id,
-        )
-    if tag == _T_REPLY:
-        future_id = reader.i64()
-        target_activity = reader.text()
-        payload_bytes = reader.i64()
-        refs = _decode_value(reader)
-        data = _decode_value(reader)
-        return Reply(
-            future_id,
-            target_activity,
-            payload_bytes=payload_bytes,
-            refs=refs,
-            data=data,
-        )
-    if tag == _T_DGC_MESSAGE:
-        sender = reader.text()
-        clock = ActivityClock(reader.i64(), reader.text())
-        consensus = reader.u8() != 0
-        sender_ref = RemoteRef(reader.text(), reader.text())
-        sender_ttb = reader.f64()
-        return DgcMessage(sender, clock, consensus, sender_ref, sender_ttb)
-    if tag == _T_DGC_RESPONSE:
-        responder = reader.text()
-        clock = ActivityClock(reader.i64(), reader.text())
-        has_parent = reader.u8() != 0
-        consensus_reached = reader.u8() != 0
-        depth = _decode_value(reader)
-        return DgcResponse(
-            responder, clock, has_parent, consensus_reached, depth
-        )
-    if tag == _T_REG_LOOKUP:
-        return RegistryLookup(reader.text(), _decode_value(reader))
-    if tag == _T_REG_REPLY:
-        future_id = reader.i64()
-        target_activity = reader.text()
-        name = reader.text()
-        ref = _decode_value(reader)
-        lease_s = reader.f64()
-        return RegistryReply(future_id, target_activity, name, ref, lease_s)
-    if tag == _T_REG_BIND:
-        name = reader.text()
-        ref = _decode_value(reader)
-        reply_to = _decode_value(reader)
-        return RegistryBind(name, ref, reply_to)
-    if tag == _T_REG_ACK:
-        future_id = reader.i64()
-        target_activity = reader.text()
-        name = reader.text()
-        ok = reader.u8() != 0
-        error = reader.text()
-        return RegistryAck(future_id, target_activity, name, ok, error)
-    if tag == _T_REG_RENEW:
-        return RegistryRenew(reader.text(), _decode_value(reader))
-    if tag == _T_REG_RENEW_ACK:
-        return RegistryRenewAck(_decode_value(reader), reader.f64())
-    if tag == _T_REG_INVALIDATE:
-        return RegistryInvalidate(_decode_value(reader))
-    if tag == _T_REG_PUSH:
-        return RegistryPush(_decode_value(reader))
-    raise WireFormatError(f"unknown value tag 0x{tag:02X}")
-
-
-# ----------------------------------------------------------------------
-# v2 value encoding (per-frame interning + varints)
-# ----------------------------------------------------------------------
-
 #: Sentinel dict keys for the two float zeroes — ``-0.0 == 0.0`` hashes
 #: identically, but bit-identical round-trips must keep them apart.
 _POS_ZERO = ("f64-zero", 1.0)
 _NEG_ZERO = ("f64-zero", -1.0)
 
 
-def _float_key(value: float):
-    if value == 0.0:
+def _float_key(value):
+    if value.__class__ is float and value == 0.0:
         return _NEG_ZERO if math.copysign(1.0, value) < 0 else _POS_ZERO
     return value
 
 
-class _V2Encoder:
-    """One frame's encode state: output buffer plus the intern table.
+# ----------------------------------------------------------------------
+# Encoding
+# ----------------------------------------------------------------------
 
-    Interned values get indices in *encode order*, children before the
+
+class _Column:
+    """Encode side of one interned column: the value memo, the identity
+    memo (record columns only) and the pinned values, whose count is
+    the table size."""
+
+    __slots__ = ("ids", "values", "pins")
+
+    def __init__(self) -> None:
+        self.ids: Dict[int, int] = {}
+        self.values: Dict[object, int] = {}
+        self.pins: List[object] = []
+
+
+class ChannelEncoder:
+    """Encode state of one ordered (src, dst) frame stream: the output
+    buffer, the tagged intern table and the three column tables.
+
+    Pass the same instance to every :func:`pack_frame` call on the
+    channel and the tables survive between frames: the steady state
+    re-sends recurring ids, clocks and messages as indices instead of
+    literals.  Sound only if the peer decodes the channel's frames in
+    pack order with a matching :class:`ChannelDecoder` — the shard
+    fabric's ``(src_shard, seq)`` stamps guarantee exactly that.
+    Stateless :func:`pack_frame` calls use a fresh instance per frame.
+
+    Tagged values get indices in *encode order*, children before the
     composite that contains them (post-order), which is exactly the
     order the decoder appends to its table — no index negotiation on
-    the wire.  The identity memo is the fast path (the fabric reuses
-    message/clock/ref objects heavily); the value memo catches
-    equal-but-distinct objects so e.g. two responders constructing the
-    same clock value still share one table slot.
+    the wire.
     """
 
-    __slots__ = ("out", "id_memo", "val_memo", "count", "pins")
+    __slots__ = (
+        "out", "id_memo", "val_memo", "count", "pins",
+        "targets", "messages", "responses",
+    )
 
     def __init__(self) -> None:
         self.out = bytearray()
@@ -596,10 +305,12 @@ class _V2Encoder:
         self.count = 0
         # Strong refs to every registered value: the id_memo keys on
         # id(value), and a collected value's address can be reused by a
-        # new object — harmless within one frame (the entries list pins
-        # everything), fatal for a persistent channel (zero floats key
+        # new object — fatal for a persistent channel (zero floats key
         # the value memo through sentinels, so nothing else pins them).
         self.pins: List[object] = []
+        self.targets = _Column()
+        self.messages = _Column()
+        self.responses = _Column()
 
     def varint(self, value: int) -> None:
         out = self.out
@@ -611,24 +322,128 @@ class _V2Encoder:
     def zigzag(self, value: int) -> None:
         self.varint((value << 1) ^ (value >> 63))
 
+    def fixed_width(self, code: str, values: List[int]) -> None:
+        column = array(code, values)
+        if _SWAP:
+            column.byteswap()
+        self.out += column
+
+    def indices(self, indices: List[int], size: int) -> None:
+        """A fixed-width index column over a ``size``-value table."""
+        self.fixed_width(_index_code(size), indices)
+
+    def sizes(self, sizes: List[int]) -> None:
+        """The block-size column: one width byte, then the sizes."""
+        largest = max(sizes, default=0)
+        width = 1 if largest <= 0xFF else 2 if largest <= 0xFFFF else 4
+        self.out.append(width)
+        self.fixed_width(_SIZE_CODES[width], sizes)
+
+    def column(
+        self, values: list, table: _Column, by_identity: bool, literal,
+        *args,
+    ) -> None:
+        """Intern ``values`` into ``table`` and append them as one
+        column (see :meth:`interned`)."""
+        ids = table.ids
+        known = table.values
+        fresh = []
+        try:
+            if by_identity:
+                indices = [ids.get(id(value), -1) for value in values]
+            else:
+                indices = [known.get(value, -1) for value in values]
+            if -1 in indices:
+                pins = table.pins
+                # Misses resolved so far in this column, by identity: a
+                # new object fanned out to many rows is looked up by
+                # value once (``values`` keeps every object alive, so
+                # ids stay unique).
+                resolved: Dict[int, int] = {}
+                for position, index in enumerate(indices):
+                    if index != -1:
+                        continue
+                    value = values[position]
+                    index = resolved.get(id(value))
+                    if index is None:
+                        index = known.get(value)
+                        if index is None:
+                            index = len(pins)
+                            pins.append(value)
+                            known[value] = index
+                            if by_identity:
+                                ids[id(value)] = index
+                            fresh.append(value)
+                        resolved[id(value)] = index
+                    indices[position] = index
+        except TypeError:
+            raise WireFormatError(
+                "cannot encode an unhashable column value on the shard wire"
+            ) from None
+        self.interned(indices, fresh, len(table.pins), literal, *args)
+
+    def interned(
+        self, indices: List[int], fresh: list, size: int, literal, *args
+    ) -> None:
+        """Append one interned column: ``varint length, varint fresh``,
+        each fresh value's literal (``literal(value, *args)``) in
+        registration order, then the indices into the ``size``-value
+        table."""
+        self.varint(len(indices))
+        self.varint(len(fresh))
+        for value in fresh:
+            literal(value, *args)
+        self.indices(indices, size)
+
+    def delivery(self, value: float) -> None:
+        """First-use literal of a delivery instant: a tagged float,
+        never interned beyond its frame (instants move on)."""
+        self.out.append(_T_FLOAT)
+        self.out += _F64.pack(value)
+
+    def target(self, value) -> None:
+        """First-use literal of a DGC target activity id."""
+        if value.__class__ is not str:
+            raise WireFormatError(
+                f"cannot encode {type(value).__name__!r} as a DGC target "
+                f"on the shard wire"
+            )
+        self.value(value)
+
+    def record(self, record, expected: type) -> None:
+        """First-use literal of a DGC record: its fields through the
+        tagged codec (so its ids, clock and ref intern there)."""
+        cls = record.__class__
+        if cls is not expected:
+            raise WireFormatError(
+                f"cannot encode {cls.__name__!r} in a "
+                f"{expected.__name__} column on the shard wire"
+            )
+        value = self.value
+        if cls is DgcMessage:
+            value(record.sender)
+            value(record.clock)
+            self.out.append(1 if record.consensus else 0)
+            value(record.sender_ref)
+            value(record.sender_ttb)
+        elif cls is DgcResponse:
+            value(record.responder)
+            value(record.clock)
+            self.out.append(1 if record.has_parent else 0)
+            self.out.append(1 if record.consensus_reached else 0)
+            value(record.depth)
+
     def _intern(self, value, key) -> bool:
-        """Emit a backref if ``value`` is already in the table (True);
-        otherwise return False — the caller encodes the value and then
-        calls :meth:`_register`."""
+        """Emit a backref if ``value`` is already in the tagged table
+        (True); otherwise return False — the caller encodes the value
+        and then calls :meth:`_register`."""
         index = self.id_memo.get(id(value))
         if index is None:
             index = self.val_memo.get(key)
         if index is None:
             return False
-        out = self.out
-        out.append(_T_BACKREF)
-        if index < 0x80:
-            out.append(index)
-        elif index < 0x4000:
-            out.append((index & 0x7F) | 0x80)
-            out.append(index >> 7)
-        else:
-            self.varint(index)
+        self.out.append(_T_BACKREF)
+        self.varint(index)
         return True
 
     def _register(self, value, key) -> None:
@@ -639,11 +454,10 @@ class _V2Encoder:
         self.pins.append(value)
 
     def value(self, value) -> None:
+        """Append one tagged value."""
         # The dispatch chain is frequency-ordered for the sharded
-        # fabric's traffic mix — activity-id strings, then the DGC
-        # message/response payloads and their clock/ref constituents —
-        # because every staged entry funnels through here and the chain
-        # itself shows up in profiles.
+        # fabric's traffic mix: activity-id strings, then the clock/ref
+        # constituents of record literals.
         out = self.out
         cls = value.__class__
         if cls is str:
@@ -654,13 +468,7 @@ class _V2Encoder:
             index = memo.get(value)
             if index is not None:
                 out.append(_T_BACKREF)
-                if index < 0x80:
-                    out.append(index)
-                elif index < 0x4000:
-                    out.append((index & 0x7F) | 0x80)
-                    out.append(index >> 7)
-                else:
-                    self.varint(index)
+                self.varint(index)
                 return
             raw = value.encode("utf-8")
             out.append(_T_STR)
@@ -668,26 +476,6 @@ class _V2Encoder:
             out += raw
             memo[value] = self.count
             self.count += 1
-        elif cls is DgcMessage:
-            if self._intern(value, value):
-                return
-            out.append(_T_DGC_MESSAGE)
-            self.value(value.sender)
-            self.value(value.clock)
-            out.append(1 if value.consensus else 0)
-            self.value(value.sender_ref)
-            self.value(value.sender_ttb)
-            self._register(value, value)
-        elif cls is DgcResponse:
-            if self._intern(value, value):
-                return
-            out.append(_T_DGC_RESPONSE)
-            self.value(value.responder)
-            self.value(value.clock)
-            out.append(1 if value.has_parent else 0)
-            out.append(1 if value.consensus_reached else 0)
-            self.value(value.depth)
-            self._register(value, value)
         elif cls is ActivityClock:
             if self._intern(value, value):
                 return
@@ -762,48 +550,48 @@ class _V2Encoder:
             self.value(tuple(value.refs))
             self.value(value.data)
             self.value(value.reply_to)
-        elif type(value) is Reply:
+        elif cls is Reply:
             out.append(_T_REPLY)
             self.zigzag(value.future_id)
             self.value(value.target_activity)
             self.zigzag(value.payload_bytes)
             self.value(tuple(value.refs))
             self.value(value.data)
-        elif type(value) is RegistryLookup:
+        elif cls is RegistryLookup:
             out.append(_T_REG_LOOKUP)
             self.value(value.name)
             self.value(value.reply_to)
-        elif type(value) is RegistryReply:
+        elif cls is RegistryReply:
             out.append(_T_REG_REPLY)
             self.zigzag(value.future_id)
             self.value(value.target_activity)
             self.value(value.name)
             self.value(value.ref)
             self.value(value.lease_s)
-        elif type(value) is RegistryBind:
+        elif cls is RegistryBind:
             out.append(_T_REG_BIND)
             self.value(value.name)
             self.value(value.ref)
             self.value(value.reply_to)
-        elif type(value) is RegistryAck:
+        elif cls is RegistryAck:
             out.append(_T_REG_ACK)
             self.zigzag(value.future_id)
             self.value(value.target_activity)
             self.value(value.name)
             out.append(1 if value.ok else 0)
             self.value(value.error)
-        elif type(value) is RegistryRenew:
+        elif cls is RegistryRenew:
             out.append(_T_REG_RENEW)
             self.value(value.node)
             self.value(value.names)
-        elif type(value) is RegistryRenewAck:
+        elif cls is RegistryRenewAck:
             out.append(_T_REG_RENEW_ACK)
             self.value(value.names)
             self.value(value.lease_s)
-        elif type(value) is RegistryInvalidate:
+        elif cls is RegistryInvalidate:
             out.append(_T_REG_INVALIDATE)
             self.value(value.names)
-        elif type(value) is RegistryPush:
+        elif cls is RegistryPush:
             out.append(_T_REG_PUSH)
             self.value(value.bindings)
         else:
@@ -813,26 +601,42 @@ class _V2Encoder:
 
 
 # ----------------------------------------------------------------------
-# v2 value decoding
+# Decoding
 # ----------------------------------------------------------------------
 
 
-class _V2Reader:
-    """Bounds-checked zero-copy cursor over one v2 frame.
+class ChannelDecoder:
+    """Decode half of a persistent channel: the tagged and column
+    intern tables, grown in the paired :class:`ChannelEncoder`'s
+    registration order.  Discard after any decode error — the tables
+    are desynced."""
+
+    __slots__ = ("table", "targets", "messages", "responses")
+
+    def __init__(self) -> None:
+        self.table: List[object] = []
+        self.targets: List[str] = []
+        self.messages: List[DgcMessage] = []
+        self.responses: List[DgcResponse] = []
+
+
+class _Reader:
+    """Bounds-checked zero-copy cursor over one frame.
 
     Fixed fields go through ``struct.unpack_from`` on the shared
-    memoryview, text through ``str(view, "utf-8")`` — nothing slices
-    into intermediate ``bytes``.  ``table`` is the decode-side intern
-    table; it grows in exactly the encoder's registration order.
+    memoryview, index columns straight into ``array`` objects, text
+    through ``str(view, "utf-8")`` — nothing slices into intermediate
+    ``bytes``.  ``table`` is the tagged intern table; it grows in
+    exactly the encoder's registration order.
     """
 
     __slots__ = ("buf", "pos", "end", "table")
 
-    def __init__(self, buf, pos: int, end: int) -> None:
+    def __init__(self, buf, pos: int, end: int, table: List[object]) -> None:
         self.buf = buf
         self.pos = pos
         self.end = end
-        self.table: List[object] = []
+        self.table = table
 
     def _need(self, count: int) -> int:
         pos = self.pos
@@ -855,26 +659,15 @@ class _V2Reader:
         buf = self.buf
         pos = self.pos
         end = self.end
-        if pos >= end:
-            raise WireFormatError(
-                f"truncated frame: varint at offset {pos} past end"
-            )
-        byte = buf[pos]
-        if byte < 0x80:
-            self.pos = pos + 1
-            return byte
-        result = byte & 0x7F
-        shift = 7
-        pos += 1
+        result = 0
+        shift = 0
         while True:
             if pos >= end:
                 raise WireFormatError(
                     f"truncated frame: varint at offset {self.pos} past end"
                 )
             if shift > 63:
-                raise WireFormatError(
-                    f"overlong varint at offset {self.pos}"
-                )
+                raise WireFormatError(f"overlong varint at offset {self.pos}")
             byte = buf[pos]
             pos += 1
             result |= (byte & 0x7F) << shift
@@ -895,30 +688,54 @@ class _V2Reader:
         except UnicodeDecodeError as exc:
             raise WireFormatError(f"corrupt string field: {exc}") from None
 
+    def fixed_width(self, code: str, count: int) -> array:
+        column = array(code)
+        start = self._need(count * column.itemsize)
+        column.frombytes(self.buf[start:self.pos])
+        if _SWAP:
+            column.byteswap()
+        return column
 
-def _decode_value_v2(reader: _V2Reader):
-    # Tag dispatch is frequency-ordered to mirror the encoder: the
-    # sharded fabric's frames are dominated by backrefs, activity-id
-    # strings and the DGC payload types, so those exit the chain first.
+    def sizes(self, count: int) -> array:
+        width = self.u8()
+        code = _SIZE_CODES.get(width)
+        if code is None:
+            raise WireFormatError(f"bad block-size width {width}")
+        return self.fixed_width(code, count)
+
+    def column(self, table: list, literal, *args) -> list:
+        """Read one interned column (see :meth:`ChannelEncoder.interned`)
+        and return its values."""
+        length = self.varint()
+        for _ in range(self.varint()):
+            table.append(literal(self, *args))
+        indices = self.fixed_width(_index_code(len(table)), length)
+        try:
+            return [table[index] for index in indices]
+        except IndexError:
+            raise WireFormatError(
+                f"backref {max(indices)} out of range "
+                f"({len(table)} interned)"
+            ) from None
+
+
+def _decode_value(reader: _Reader):
+    """One tagged value; inverse of :meth:`ChannelEncoder.value`."""
+    # Tag dispatch is frequency-ordered to mirror the encoder; the tag
+    # read and the one-byte backref are inlined (the hottest path).
+    buf = reader.buf
     pos = reader.pos
     if pos >= reader.end:
         raise WireFormatError(
             f"truncated frame: wanted 1 bytes at offset {pos}, 0 available"
         )
-    reader.pos = pos + 1
-    tag = reader.buf[pos]
+    tag = buf[pos]
+    pos += 1
+    reader.pos = pos
     if tag == _T_BACKREF:
-        # Inlined varint: backrefs are the single hottest tag, and a
-        # persistent channel's indices live mostly in the two-byte band.
-        buf = reader.buf
-        pos = reader.pos
-        end = reader.end
-        if pos < end and buf[pos] < 0x80:
+        if pos < reader.end and buf[pos] < 0x80:
             reader.pos = pos + 1
             index = buf[pos]
-        elif pos + 1 < end and buf[pos + 1] < 0x80:
-            reader.pos = pos + 2
-            index = (buf[pos] & 0x7F) | (buf[pos + 1] << 7)
         else:
             index = reader.varint()
         table = reader.table
@@ -931,32 +748,12 @@ def _decode_value_v2(reader: _V2Reader):
         value = reader.text()
         reader.table.append(value)
         return value
-    if tag == _T_DGC_MESSAGE:
-        sender = _decode_value_v2(reader)
-        clock = _decode_value_v2(reader)
-        consensus = reader.u8() != 0
-        sender_ref = _decode_value_v2(reader)
-        sender_ttb = _decode_value_v2(reader)
-        value = DgcMessage(sender, clock, consensus, sender_ref, sender_ttb)
-        reader.table.append(value)
-        return value
-    if tag == _T_DGC_RESPONSE:
-        responder = _decode_value_v2(reader)
-        clock = _decode_value_v2(reader)
-        has_parent = reader.u8() != 0
-        consensus_reached = reader.u8() != 0
-        depth = _decode_value_v2(reader)
-        value = DgcResponse(
-            responder, clock, has_parent, consensus_reached, depth
-        )
-        reader.table.append(value)
-        return value
     if tag == _T_CLOCK:
-        value = ActivityClock(reader.zigzag(), _decode_value_v2(reader))
+        value = ActivityClock(reader.zigzag(), _decode_value(reader))
         reader.table.append(value)
         return value
     if tag == _T_REMOTE_REF:
-        value = RemoteRef(_decode_value_v2(reader), _decode_value_v2(reader))
+        value = RemoteRef(_decode_value(reader), _decode_value(reader))
         reader.table.append(value)
         return value
     if tag == _T_FLOAT:
@@ -973,14 +770,14 @@ def _decode_value_v2(reader: _V2Reader):
         return False
     if tag == _T_TUPLE:
         count = reader.varint()
-        return tuple(_decode_value_v2(reader) for _ in range(count))
+        return tuple(_decode_value(reader) for _ in range(count))
     if tag == _T_LIST:
         count = reader.varint()
-        return [_decode_value_v2(reader) for _ in range(count)]
+        return [_decode_value(reader) for _ in range(count)]
     if tag == _T_DICT:
         count = reader.varint()
         return {
-            _decode_value_v2(reader): _decode_value_v2(reader)
+            _decode_value(reader): _decode_value(reader)
             for _ in range(count)
         }
     if tag == _T_BIGINT:
@@ -995,20 +792,19 @@ def _decode_value_v2(reader: _V2Reader):
         return bytes(reader.buf[pos:pos + length])
     if tag == _T_REPLY_ADDRESS:
         value = ReplyAddress(
-            _decode_value_v2(reader), _decode_value_v2(reader),
-            reader.zigzag(),
+            _decode_value(reader), _decode_value(reader), reader.zigzag(),
         )
         reader.table.append(value)
         return value
     if tag == _T_REQUEST:
-        method = _decode_value_v2(reader)
-        sender = _decode_value_v2(reader)
-        target = _decode_value_v2(reader)
+        method = _decode_value(reader)
+        sender = _decode_value(reader)
+        target = _decode_value(reader)
         payload_bytes = reader.zigzag()
         request_id = reader.zigzag()
-        refs = _decode_value_v2(reader)
-        data = _decode_value_v2(reader)
-        reply_to = _decode_value_v2(reader)
+        refs = _decode_value(reader)
+        data = _decode_value(reader)
+        reply_to = _decode_value(reader)
         return Request(
             method,
             sender,
@@ -1021,10 +817,10 @@ def _decode_value_v2(reader: _V2Reader):
         )
     if tag == _T_REPLY:
         future_id = reader.zigzag()
-        target_activity = _decode_value_v2(reader)
+        target_activity = _decode_value(reader)
         payload_bytes = reader.zigzag()
-        refs = _decode_value_v2(reader)
-        data = _decode_value_v2(reader)
+        refs = _decode_value(reader)
+        data = _decode_value(reader)
         return Reply(
             future_id,
             target_activity,
@@ -1033,44 +829,75 @@ def _decode_value_v2(reader: _V2Reader):
             data=data,
         )
     if tag == _T_REG_LOOKUP:
-        return RegistryLookup(_decode_value_v2(reader), _decode_value_v2(reader))
+        return RegistryLookup(_decode_value(reader), _decode_value(reader))
     if tag == _T_REG_REPLY:
         future_id = reader.zigzag()
-        target_activity = _decode_value_v2(reader)
-        name = _decode_value_v2(reader)
-        ref = _decode_value_v2(reader)
-        lease_s = _decode_value_v2(reader)
+        target_activity = _decode_value(reader)
+        name = _decode_value(reader)
+        ref = _decode_value(reader)
+        lease_s = _decode_value(reader)
         return RegistryReply(future_id, target_activity, name, ref, lease_s)
     if tag == _T_REG_BIND:
-        name = _decode_value_v2(reader)
-        ref = _decode_value_v2(reader)
-        reply_to = _decode_value_v2(reader)
+        name = _decode_value(reader)
+        ref = _decode_value(reader)
+        reply_to = _decode_value(reader)
         return RegistryBind(name, ref, reply_to)
     if tag == _T_REG_ACK:
         future_id = reader.zigzag()
-        target_activity = _decode_value_v2(reader)
-        name = _decode_value_v2(reader)
+        target_activity = _decode_value(reader)
+        name = _decode_value(reader)
         ok = reader.u8() != 0
-        error = _decode_value_v2(reader)
+        error = _decode_value(reader)
         return RegistryAck(future_id, target_activity, name, ok, error)
     if tag == _T_REG_RENEW:
-        return RegistryRenew(_decode_value_v2(reader), _decode_value_v2(reader))
+        return RegistryRenew(_decode_value(reader), _decode_value(reader))
     if tag == _T_REG_RENEW_ACK:
-        return RegistryRenewAck(_decode_value_v2(reader), _decode_value_v2(reader))
+        return RegistryRenewAck(_decode_value(reader), _decode_value(reader))
     if tag == _T_REG_INVALIDATE:
-        return RegistryInvalidate(_decode_value_v2(reader))
+        return RegistryInvalidate(_decode_value(reader))
     if tag == _T_REG_PUSH:
-        return RegistryPush(_decode_value_v2(reader))
+        return RegistryPush(_decode_value(reader))
     raise WireFormatError(f"unknown value tag 0x{tag:02X}")
+
+
+def _decode_delivery(reader: _Reader) -> float:
+    """First-use literal of a delivery instant."""
+    tag = reader.u8()
+    if tag != _T_FLOAT:
+        raise WireFormatError(
+            f"delivery instant has value tag 0x{tag:02X}, expected float"
+        )
+    return reader.f64()
+
+
+def _decode_record(reader: _Reader, cls: type):
+    """First-use literal of a DGC record; inverse of
+    :meth:`ChannelEncoder.record`."""
+    decode = _decode_value
+    if cls is DgcMessage:
+        sender = decode(reader)
+        clock = decode(reader)
+        consensus = reader.u8() != 0
+        sender_ref = decode(reader)
+        sender_ttb = decode(reader)
+        return DgcMessage(sender, clock, consensus, sender_ref, sender_ttb)
+    responder = decode(reader)
+    clock = decode(reader)
+    has_parent = reader.u8() != 0
+    consensus_reached = reader.u8() != 0
+    depth = decode(reader)
+    return DgcResponse(responder, clock, has_parent, consensus_reached, depth)
 
 
 # ----------------------------------------------------------------------
 # Frames
 # ----------------------------------------------------------------------
 
-#: One decoded cross-shard frame: the (shard, seq) stamp that orders it
-#: in the merged log, and the staged entries it carries.
+
 class Frame:
+    """One decoded cross-shard frame: the (shard, seq) stamp that orders
+    it in the merged log, and the staged entries it carries."""
+
     __slots__ = ("src_shard", "seq", "entries")
 
     def __init__(
@@ -1090,30 +917,15 @@ class Frame:
         )
 
 
-class ChannelEncoder(_V2Encoder):
-    """Persistent encode state for one ordered (src, dst) frame stream.
-
-    Pass the same instance to every :func:`pack_frame` call on the
-    channel (v2 only) and the intern table survives between frames:
-    the steady state re-sends recurring ids, clocks and messages as
-    backrefs instead of full encodings.  Sound only if the peer decodes
-    the channel's frames in pack order with a matching
-    :class:`ChannelDecoder` — the shard fabric's ``(src_shard, seq)``
-    stamps guarantee exactly that.
-    """
-
-    __slots__ = ()
-
-
-class ChannelDecoder:
-    """Decode half of a persistent channel: the cross-frame intern
-    table, grown in the paired :class:`ChannelEncoder`'s registration
-    order.  Discard after any decode error — the table is desynced."""
-
-    __slots__ = ("table",)
-
-    def __init__(self) -> None:
-        self.table: List[object] = []
+def _header(buf) -> Tuple[int, int, int]:
+    if len(buf) < _HEADER.size:
+        raise WireFormatError(
+            f"truncated frame: {len(buf)} bytes, header needs {_HEADER.size}"
+        )
+    magic, src_shard, seq, count = _HEADER.unpack_from(buf, 0)
+    if magic != FRAME_MAGIC:
+        raise WireFormatError(f"bad frame magic 0x{magic:04X}")
+    return src_shard, seq, count
 
 
 def frame_stamp(buf: bytes) -> Tuple[int, int]:
@@ -1122,27 +934,49 @@ def frame_stamp(buf: bytes) -> Tuple[int, int]:
     order raw buffers *before* decoding, which persistent channel
     decoders require (each channel's frames must decode in seq order).
     """
-    if len(buf) < _HEADER.size:
-        raise WireFormatError(
-            f"truncated frame: {len(buf)} bytes, header needs "
-            f"{_HEADER.size}"
-        )
-    magic, src_shard, seq, _count, _min_delivery = _HEADER.unpack_from(buf, 0)
-    if magic != FRAME_MAGIC and magic != FRAME_MAGIC_V2:
-        raise WireFormatError(f"bad frame magic 0x{magic:04X}")
+    src_shard, seq, _count = _header(buf)
     return src_shard, seq
 
 
-def frame_version(buf: bytes) -> int:
-    """The format version of a packed frame (1 or 2), from its magic."""
-    if len(buf) < 2:
-        raise WireFormatError("truncated frame: no magic")
-    magic = (buf[0] << 8) | buf[1]
-    if magic == FRAME_MAGIC:
-        return 1
-    if magic == FRAME_MAGIC_V2:
-        return 2
-    raise WireFormatError(f"bad frame magic 0x{magic:04X}")
+def frame_entry_count(buf: bytes) -> int:
+    """How many entries a packed frame decodes to (one per DGC block,
+    one per other row), read from its header."""
+    return _header(buf)[2]
+
+
+def _as_delivery(delivery) -> float:
+    try:
+        return float(delivery)
+    except (TypeError, ValueError):
+        raise WireFormatError(
+            f"delivery instant {delivery!r} is not a float"
+        ) from None
+
+
+def _new_block(
+    family: str, delivery: float, instant, dest: str,
+    kind_index: Dict[str, int], node_index: Dict[str, int],
+    instants: Dict[object, int], instant_values: List[float],
+) -> list:
+    """A fresh block: ``[kind index, delivery index, destination index,
+    items, payloads, block kind]``."""
+    try:
+        kind_position = kind_index[family]
+    except KeyError:
+        raise WireFormatError(
+            f"kind {family!r} is not registered with the fabric"
+        ) from None
+    try:
+        dest_position = node_index[dest]
+    except KeyError:
+        raise WireFormatError(
+            f"destination node {dest!r} is not in the shared topology"
+        ) from None
+    delivery_position = instants.get(instant)
+    if delivery_position is None:
+        delivery_position = instants[instant] = len(instant_values)
+        instant_values.append(delivery)
+    return [kind_position, delivery_position, dest_position, [], [], family]
 
 
 def pack_frame(
@@ -1150,7 +984,6 @@ def pack_frame(
     seq: int,
     entries: Sequence[Tuple[float, str, str, object, object]],
     node_index: Dict[str, int],
-    version: int = DEFAULT_WIRE_VERSION,
     channel: Optional[ChannelEncoder] = None,
 ) -> bytes:
     """Pack staged pulse entries into one wire frame.
@@ -1158,116 +991,96 @@ def pack_frame(
     Each entry is ``(delivery_time, dest_node, kind, item, payload)`` —
     exactly the columns a staged pulse entry carries minus the channel
     (the receiving shard re-binds its own ingress channel).  ``kind``
-    may be any registered kind or a site-pair aggregate marker, in which
-    case item/payload are the flat target/message columns.  ``version``
-    selects the frame format; both decode through :func:`unpack_frame`.
-    ``channel`` (v2 only) persists the intern table across the frames
-    of one ordered shard channel.
+    may be any registered kind or a DGC site-pair aggregate marker, in
+    which case item/payload are the flat target/record lists.
+    ``channel`` persists the intern tables across the frames of one
+    ordered shard channel.
     """
-    if version == 2:
-        return _pack_frame_v2(src_shard, seq, entries, node_index, channel)
-    if version != 1:
-        raise WireFormatError(f"unknown wire version {version!r}")
-    if channel is not None:
-        raise WireFormatError("wire v1 has no channel state")
-    index = kind_index()
-    out = bytearray(
-        _HEADER.pack(
-            FRAME_MAGIC,
-            src_shard,
-            seq,
-            len(entries),
-            min((entry[0] for entry in entries), default=0.0),
-        )
-    )
+    kind_index = _kind_index()
+    blocks: Dict[tuple, list] = {}
+    get_block = blocks.get
+    get_dgc = _DGC_ROWS.get
+    #: Frame-local delivery table: instants move on, so they are
+    #: interned per frame only.
+    instants: Dict[object, int] = {}
+    instant_values: List[float] = []
     for delivery, dest, kind, item, payload in entries:
-        try:
-            dest_position = node_index[dest]
-        except KeyError:
-            raise WireFormatError(
-                f"destination node {dest!r} is not in the shared topology"
-            ) from None
-        try:
-            kind_position = index[kind]
-        except KeyError:
-            raise WireFormatError(
-                f"kind {kind!r} is not registered with the fabric"
-            ) from None
-        out += _ENTRY_HEAD.pack(delivery, dest_position, kind_position)
-        _encode_value(out, item)
-        _encode_value(out, payload)
-    return bytes(out)
-
-
-def _pack_frame_v2(
-    src_shard: int,
-    seq: int,
-    entries: Sequence[Tuple[float, str, str, object, object]],
-    node_index: Dict[str, int],
-    channel: Optional[ChannelEncoder] = None,
-) -> bytes:
-    # Entries sharing (kind, delivery instant, destination node) are
-    # coalesced into one run that spells those three columns out once —
-    # beat-quantized DGC traffic shares delivery instants heavily, so
-    # the common frame carries several items per run.  Runs appear in
-    # first-occurrence order and items keep their staged order within a
-    # run, so the decoded entry list is a deterministic, order-
-    # normalized permutation of the input (same multiset, bit-identical
-    # values); per-channel FIFO order survives because a channel's
-    # equal-delivery sends land in the same run.  The float key goes
-    # through its IEEE bits so -0.0/0.0 (and NaN payloads) never merge.
-    pack_f64 = _F64.pack
-    groups: Dict[tuple, list] = {}
-    get_group = groups.get
-    for entry in entries:
-        delivery = entry[0]
-        if type(delivery) is not float:
-            # struct "d" coerced ints in v1; keep that contract.
-            delivery = float(delivery)
-        key = (entry[2], pack_f64(delivery), entry[1])
-        bucket = get_group(key)
-        if bucket is None:
-            groups[key] = bucket = [delivery, entry[1], entry[2]]
-        bucket.append(entry[3])
-        bucket.append(entry[4])
-    index = kind_index()
-    if channel is None:
-        encoder = _V2Encoder()
-    else:
-        encoder = channel
-        encoder.out = bytearray()  # fresh frame body, memos persist
-    varint = encoder.varint
+        if delivery.__class__ is not float:
+            delivery = _as_delivery(delivery)
+        dgc = get_dgc(kind)
+        family = kind if dgc is None else dgc[0]
+        instant = delivery if delivery else _float_key(delivery)
+        key = (instant, dest, family)
+        block = get_block(key)
+        if block is None:
+            blocks[key] = block = _new_block(
+                family, delivery, instant, dest, kind_index, node_index,
+                instants, instant_values,
+            )
+        if dgc is not None and dgc[1]:
+            if item.__class__ is not list or payload.__class__ is not list:
+                raise WireFormatError(
+                    f"aggregate {kind!r} row needs list columns"
+                )
+            block[3] += item
+            block[4] += payload
+        else:
+            block[3].append(item)
+            block[4].append(payload)
+    block_kinds: List[int] = []
+    sizes: List[int] = []
+    delivery_indices: List[int] = []
+    dests: List[int] = []
+    targets: list = []
+    messages: list = []
+    responses: list = []
+    rows: List[list] = []
+    count = 0
+    for block in blocks.values():
+        block_kinds.append(block[0])
+        delivery_indices.append(block[1])
+        dests.append(block[2])
+        items = block[3]
+        sizes.append(len(items))
+        family = block[5]
+        if family is KIND_DGC_MESSAGE or family is KIND_DGC_RESPONSE:
+            if len(items) != len(block[4]):
+                raise WireFormatError(
+                    f"{family!r} run has {len(items)} targets but "
+                    f"{len(block[4])} records"
+                )
+            targets += items
+            if family is KIND_DGC_MESSAGE:
+                messages += block[4]
+            else:
+                responses += block[4]
+            count += 1
+        else:
+            rows.append(block)
+            count += len(items)
+    encoder = ChannelEncoder() if channel is None else channel
+    encoder.out = bytearray()  # fresh frame body, tables persist
+    encoder.varint(len(sizes))
+    encoder.indices(block_kinds, len(kind_index))
+    encoder.sizes(sizes)
+    encoder.interned(
+        delivery_indices, instant_values, len(instant_values),
+        encoder.delivery,
+    )
+    encoder.indices(dests, len(node_index))
+    encoder.column(targets, encoder.targets, False, encoder.target)
+    encoder.column(
+        messages, encoder.messages, True, encoder.record, DgcMessage
+    )
+    encoder.column(
+        responses, encoder.responses, True, encoder.record, DgcResponse
+    )
     value = encoder.value
-    for bucket in groups.values():
-        delivery = bucket[0]
-        dest = bucket[1]
-        kind = bucket[2]
-        try:
-            kind_position = index[kind]
-        except KeyError:
-            raise WireFormatError(
-                f"kind {kind!r} is not registered with the fabric"
-            ) from None
-        try:
-            dest_position = node_index[dest]
-        except KeyError:
-            raise WireFormatError(
-                f"destination node {dest!r} is not in the shared "
-                f"topology"
-            ) from None
-        varint((len(bucket) - 3) >> 1)
-        varint(kind_position)
-        value(delivery)
-        varint(dest_position)
-        for field in range(3, len(bucket)):
-            value(bucket[field])
-    return _HEADER.pack(
-        FRAME_MAGIC_V2,
-        src_shard,
-        seq,
-        len(entries),
-        min((entry[0] for entry in entries), default=0.0),
-    ) + bytes(encoder.out)
+    for block in rows:
+        for item, payload in zip(block[3], block[4]):
+            value(item)
+            value(payload)
+    return _HEADER.pack(FRAME_MAGIC, src_shard, seq, count) + encoder.out
 
 
 def unpack_frame(
@@ -1279,103 +1092,86 @@ def unpack_frame(
 
     ``node_names`` is the shared topology's node tuple (both sides
     derive it from the same :class:`~repro.net.topology.Topology`).
-    Kinds come back as the canonical interned constants, so identity
-    dispatch in the columnar fire loop works on injected entries.
-    ``channel`` (v2 only) persists the intern table across the frames
-    of one ordered shard channel; it must mirror the packing side's
+    ``channel`` persists the intern tables across the frames of one
+    ordered shard channel; it must mirror the packing side's
     :class:`ChannelEncoder` frame for frame.
     """
-    if len(buf) < _HEADER.size:
+    src_shard, seq, count = _header(buf)
+    if channel is None:
+        channel = ChannelDecoder()
+    reader = _Reader(memoryview(buf), _HEADER.size, len(buf), channel.table)
+    block_count = reader.varint()
+    kinds = _kinds.ALL_KINDS
+    indices = reader.fixed_width(_index_code(len(kinds)), block_count)
+    try:
+        block_kinds = [kinds[index] for index in indices]
+    except IndexError:
         raise WireFormatError(
-            f"truncated frame: {len(buf)} bytes, header needs {_HEADER.size}"
-        )
-    magic, src_shard, seq, count, _min_delivery = _HEADER.unpack_from(buf, 0)
-    if magic == FRAME_MAGIC_V2:
-        return _unpack_frame_v2(buf, node_names, src_shard, seq, count, channel)
-    if magic != FRAME_MAGIC:
-        raise WireFormatError(f"bad frame magic 0x{magic:04X}")
-    if channel is not None:
-        raise WireFormatError("wire v1 has no channel state")
-    table = kind_table()
-    reader = _Reader(memoryview(buf), _HEADER.size, len(buf))
-    entries: List[Tuple[float, str, str, object, object]] = []
-    for _ in range(count):
-        delivery, dest_position, kind_position = _ENTRY_HEAD.unpack(
-            reader.take(_ENTRY_HEAD.size)
-        )
-        if dest_position >= len(node_names):
-            raise WireFormatError(
-                f"destination index {dest_position} out of range "
-                f"({len(node_names)} nodes)"
-            )
-        if kind_position >= len(table):
-            raise WireFormatError(
-                f"kind index {kind_position} out of range "
-                f"({len(table)} kinds)"
-            )
-        item = _decode_value(reader)
-        payload = _decode_value(reader)
-        entries.append(
-            (delivery, node_names[dest_position], table[kind_position],
-             item, payload)
-        )
-    if reader.pos != reader.end:
+            f"kind index {max(indices)} out of range ({len(kinds)} kinds)"
+        ) from None
+    sizes = reader.sizes(block_count)
+    deliveries = reader.column([], _decode_delivery)
+    if len(deliveries) != block_count:
         raise WireFormatError(
-            f"frame has {reader.end - reader.pos} trailing bytes"
+            f"{len(deliveries)} delivery instants for {block_count} blocks"
         )
-    return Frame(src_shard, seq, entries)
-
-
-def _unpack_frame_v2(
-    buf: bytes,
-    node_names: Sequence[str],
-    src_shard: int,
-    seq: int,
-    count: int,
-    channel: Optional[ChannelDecoder] = None,
-) -> Frame:
-    table = kind_table()
-    node_count = len(node_names)
-    reader = _V2Reader(memoryview(buf), _HEADER.size, len(buf))
-    if channel is not None:
-        reader.table = channel.table
-    decode = _decode_value_v2
-    varint = reader.varint
+    indices = reader.fixed_width(_index_code(len(node_names)), block_count)
+    try:
+        dests = [node_names[index] for index in indices]
+    except IndexError:
+        raise WireFormatError(
+            f"destination index {max(indices)} out of range "
+            f"({len(node_names)} nodes)"
+        ) from None
+    targets = reader.column(channel.targets, _decode_value)
+    messages = reader.column(channel.messages, _decode_record, DgcMessage)
+    responses = reader.column(
+        channel.responses, _decode_record, DgcResponse
+    )
     entries: List[Tuple[float, str, str, object, object]] = []
     append = entries.append
-    decoded = 0
-    while decoded < count:
-        run_length = varint()
-        if run_length == 0:
-            raise WireFormatError("empty kind run")
-        decoded += run_length
-        if decoded > count:
-            raise WireFormatError(
-                f"kind run of {run_length} overflows entry count {count}"
-            )
-        kind_position = varint()
-        if kind_position >= len(table):
-            raise WireFormatError(
-                f"kind index {kind_position} out of range "
-                f"({len(table)} kinds)"
-            )
-        kind = table[kind_position]
-        delivery = decode(reader)
-        if type(delivery) is not float:
-            raise WireFormatError(
-                f"delivery instant decodes as "
-                f"{type(delivery).__name__}, expected float"
-            )
-        dest_position = varint()
-        if dest_position >= node_count:
-            raise WireFormatError(
-                f"destination index {dest_position} out of range "
-                f"({node_count} nodes)"
-            )
-        dest = node_names[dest_position]
-        for _ in range(run_length):
-            item = decode(reader)
-            append((delivery, dest, kind, item, decode(reader)))
+    decode = _decode_value
+    taken = sent = answered = 0
+    for kind, size, delivery, dest in zip(block_kinds, sizes, deliveries,
+                                          dests):
+        if size == 0:
+            raise WireFormatError("empty block")
+        if kind is KIND_DGC_MESSAGE:
+            stop = taken + size
+            if stop > len(targets) or sent + size > len(messages):
+                raise WireFormatError(
+                    f"DGC block of {size} overflows its columns"
+                )
+            append((delivery, dest, _AGG_DGC_MESSAGE, targets[taken:stop],
+                    messages[sent:sent + size]))
+            taken = stop
+            sent += size
+        elif kind is KIND_DGC_RESPONSE:
+            stop = taken + size
+            if stop > len(targets) or answered + size > len(responses):
+                raise WireFormatError(
+                    f"DGC block of {size} overflows its columns"
+                )
+            append((delivery, dest, _AGG_DGC_RESPONSE, targets[taken:stop],
+                    responses[answered:answered + size]))
+            taken = stop
+            answered += size
+        else:
+            if len(entries) + size > count:
+                raise WireFormatError(
+                    f"block of {size} overflows entry count {count}"
+                )
+            for _ in range(size):
+                item = decode(reader)
+                append((delivery, dest, kind, item, decode(reader)))
+    if len(entries) != count:
+        raise WireFormatError(
+            f"frame declares {count} entries but holds {len(entries)}"
+        )
+    if (taken, sent, answered) != (
+        len(targets), len(messages), len(responses)
+    ):
+        raise WireFormatError("DGC columns hold rows no block claims")
     if reader.pos != reader.end:
         raise WireFormatError(
             f"frame has {reader.end - reader.pos} trailing bytes"

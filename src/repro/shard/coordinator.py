@@ -99,7 +99,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.config import DgcConfig, RegistryConfig
 from repro.errors import ConfigurationError, SimulationError
 from repro.net.topology import Topology
-from repro.net.wire import DEFAULT_WIRE_VERSION
 from repro.shard.plan import ShardPlan, make_plan
 from repro.shard.worker import (
     REGISTRY_COUNTERS,
@@ -156,8 +155,6 @@ class ShardedRunResult:
     #: denominator of bytes-per-entry).
     frame_entries: int
     frame_digest: str
-    #: Frame format the workers packed egress with.
-    wire_version: int
     events_fired: int
     #: :attr:`events_fired` split into events the workload itself
     #: scheduled vs. pulse instants that exist only because a
@@ -266,12 +263,7 @@ class ShardedWorld:
         record_frames: bool = False,
         max_sim_time: float = 72_000.0,
         io_timeout_s: float = 300.0,
-        wire_version: int = DEFAULT_WIRE_VERSION,
     ) -> None:
-        if wire_version not in (1, 2):
-            raise ConfigurationError(
-                f"unknown wire version {wire_version!r} (have: 1, 2)"
-            )
         if dgc is None:
             raise ConfigurationError(
                 "the sharded world needs a DgcConfig: collection drives "
@@ -295,7 +287,10 @@ class ShardedWorld:
         self.record_frames = record_frames
         self.max_sim_time = max_sim_time
         self.io_timeout_s = io_timeout_s
-        self.wire_version = wire_version
+        #: The live run's worker pipes and processes, index = shard
+        #: (a dead worker's error names its shard and exit code).
+        self._conns: list = []
+        self._procs: list = []
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -307,8 +302,8 @@ class ShardedWorld:
 
         mp = multiprocessing.get_context("fork")
         start = time.monotonic()  # repro: allow[DET-wallclock] wall-clock is reported in the result, never scheduled on
-        conns = []
-        procs = []
+        self._conns = conns = []
+        self._procs = procs = []
         try:
             # Freeze the caller's heap across the forks.  Whatever the
             # parent holds at fork time (a replay world, earlier
@@ -326,6 +321,15 @@ class ShardedWorld:
             finally:
                 gc.unfreeze()
             return self._drive(conns, start)
+        except BaseException:
+            # A failed run leaves survivors blocked on their pipes (each
+            # forked worker holds copies of its own pipe's parent end,
+            # so closing ours does not wake it): end them now rather
+            # than waiting out the join below.
+            for proc in procs:
+                if proc.is_alive():
+                    proc.terminate()
+            raise
         finally:
             for conn in conns:
                 conn.close()
@@ -347,7 +351,6 @@ class ShardedWorld:
                 registry=self.registry,
                 seed=self.seed,
                 trace=self.trace,
-                wire_version=self.wire_version,
             )
             proc = mp.Process(
                 target=worker_main, args=(child_conn, spec), daemon=True
@@ -424,7 +427,7 @@ class ShardedWorld:
                     break
                 phase += 1
                 for conn in conns:
-                    conn.send(("phase", phase))
+                    self._send(conn, ("phase", phase))
                 reports = [self._recv_report(conn) for conn in conns]
                 route(every_shard)
                 continue
@@ -472,9 +475,11 @@ class ShardedWorld:
                 if grew or pending[j]:
                     frames = pending[j]
                     pending[j] = []
-                    conn.send(("advance", granted[j], len(frames)))
-                    for has_app, _, buf in frames:
-                        conn.send_bytes(buf)
+                    self._send(
+                        conn, ("advance", granted[j], len(frames)),
+                        [buf for _, _, buf in frames],
+                    )
+                    for has_app, _, _ in frames:
                         state["pending_app"] -= has_app
                     advanced.append(j)
             if not advanced:  # pragma: no cover - progress guard
@@ -495,7 +500,7 @@ class ShardedWorld:
         # discarding them does not change the outcome.
         results = []
         for conn in conns:
-            conn.send(("stop",))
+            self._send(conn, ("stop",))
             results.append(self._recv_result(conn))
         wall = time.monotonic() - start  # repro: allow[DET-wallclock] wall-clock is reported in the result, never scheduled on
         return self._merge(
@@ -562,17 +567,39 @@ class ShardedWorld:
             )
         return message[1]
 
+    def _send(self, conn, message, frames=()) -> None:
+        try:
+            conn.send(message)
+            for buf in frames:
+                conn.send_bytes(buf)
+        except OSError:
+            raise self._worker_died(conn) from None
+
     def _recv(self, conn):
-        if not conn.poll(self.io_timeout_s):
-            raise SimulationError(
-                f"shard worker unresponsive for {self.io_timeout_s}s"
-            )
-        message = conn.recv()
+        try:
+            if not conn.poll(self.io_timeout_s):
+                raise SimulationError(
+                    f"shard worker unresponsive for {self.io_timeout_s}s"
+                )
+            message = conn.recv()
+        except (EOFError, OSError):
+            raise self._worker_died(conn) from None
         if message[0] == "error":
             raise SimulationError(
                 "shard worker failed:\n" + message[1]
             )
         return message
+
+    def _worker_died(self, conn) -> SimulationError:
+        """The error for a worker whose pipe closed mid-run: which shard,
+        and how its process ended."""
+        shard = self._conns.index(conn)
+        proc = self._procs[shard]
+        proc.join(timeout=1.0)
+        return SimulationError(
+            f"shard worker {shard} died mid-run (exit code "
+            f"{proc.exitcode}) while running {self.workload!r}"
+        )
 
     def _merge(
         self, results, rounds, sim_time, wall, phase_times, digest,
@@ -619,7 +646,6 @@ class ShardedWorld:
             frame_bytes=state["frame_bytes"],
             frame_entries=state["frame_entries"],
             frame_digest=digest.hexdigest(),
-            wire_version=self.wire_version,
             events_fired=sum(r["events_fired"] for r in results),
             events_workload=sum(r["events_workload"] for r in results),
             events_coordination=sum(

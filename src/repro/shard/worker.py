@@ -35,10 +35,9 @@ caused by a local event, so the promise is the next event time (or
 ``None`` when the event heap is empty: an idle shard cannot
 spontaneously emit, which is what lets the coordinator grant its
 neighbours horizons far beyond the global minimum).  The data plane —
-the frames — is pickle-free (:mod:`repro.net.wire`; the spec's
-``wire_version`` selects the frame format); the low-rate control plane
-(specs, reports, final results) rides the pipe's regular pickled
-channel.
+the frames — is pickle-free (:mod:`repro.net.wire`); the low-rate
+control plane (specs, reports, final results) rides the pipe's regular
+pickled channel.
 """
 
 from __future__ import annotations
@@ -53,9 +52,9 @@ from repro.live import LiveKernel
 from repro.net import kinds as _kinds
 from repro.net.topology import Topology
 from repro.net.wire import (
-    DEFAULT_WIRE_VERSION,
     ChannelDecoder,
     ChannelEncoder,
+    frame_entry_count,
     frame_stamp,
     pack_frame,
     unpack_frame,
@@ -91,9 +90,6 @@ class WorkerSpec:
     registry: Optional[RegistryConfig] = None
     seed: int = 0
     trace: bool = False
-    #: Frame format for this worker's egress (:mod:`repro.net.wire`);
-    #: ingress is self-describing (the magic names the version).
-    wire_version: int = DEFAULT_WIRE_VERSION
 
 
 def _reset_process_counters() -> None:
@@ -146,63 +142,6 @@ def _unknown_workload(name: str):
     )
 
 
-#: DGC single kinds -> their aggregate (run) kinds, for the egress
-#: coalescer.  Canonical constants: kind identity survives the wire.
-_AGGREGATE_OF: Dict[str, str] = {
-    _kinds.KIND_DGC_MESSAGE: _kinds.AGGREGATE_KINDS[_kinds.KIND_DGC_MESSAGE],
-    _kinds.KIND_DGC_RESPONSE: _kinds.AGGREGATE_KINDS[_kinds.KIND_DGC_RESPONSE],
-}
-
-
-def _coalesce_dgc_singles(entries: List[tuple]) -> List[tuple]:
-    """Merge same-instant, same-destination DGC singles into aggregate
-    run entries before packing.
-
-    Beat-quantized DGC traffic lands many independent senders' singles
-    on one ``(delivery, dest_node)`` pair; each group becomes one
-    ``dgc.*[]`` entry with flat (target, message) columns — the same
-    shape the sender-side site-pair aggregation already ships and the
-    ingress fire loop already unwraps, so the receiver delivers the
-    identical messages at the identical instant, just through the batch
-    lane (one staged entry and one sink call per run instead of per
-    message).  Groups keep first-occurrence order and their items keep
-    send order, matching the wire codec's own run normalization;
-    singletons stay plain singles.  Non-DGC traffic is untouched.
-    """
-    out: List[tuple] = []
-    groups: Dict[tuple, list] = {}
-    for entry in entries:
-        kind = entry[2]
-        aggregate = _AGGREGATE_OF.get(kind)
-        if aggregate is None:
-            out.append(entry)
-            continue
-        key = (entry[0], entry[1], kind)
-        bucket = groups.get(key)
-        if bucket is None:
-            groups[key] = bucket = [
-                entry[0], entry[1], kind, aggregate,
-                [entry[3]], [entry[4]],
-            ]
-            out.append(bucket)  # placeholder, finalized below
-        else:
-            bucket[4].append(entry[3])
-            bucket[5].append(entry[4])
-    if not groups:
-        return out
-    for position, entry in enumerate(out):
-        if type(entry) is list:
-            if len(entry[4]) == 1:
-                out[position] = (
-                    entry[0], entry[1], entry[2], entry[4][0], entry[5][0]
-                )
-            else:
-                out[position] = (
-                    entry[0], entry[1], entry[3], entry[4], entry[5]
-                )
-    return out
-
-
 def _pack_egress(
     world: World, spec: WorkerSpec, node_index: Dict[str, int], seq,
     encoders: Dict[int, ChannelEncoder],
@@ -214,14 +153,14 @@ def _pack_egress(
     traffic (the coordinator's balance predicate must see application
     frames in flight, while pure heartbeat frames must not stall it),
     ``min_delivery`` feeds the bid the destination's next horizon is
-    computed from, and ``n_entries`` feeds the coordinator's
-    bytes-per-entry accounting without decoding the frame (after DGC
-    singles are coalesced into runs, so it counts wire rows).
+    computed from, and ``n_entries`` — the wire rows the frame decodes
+    to, one per DGC block — feeds the coordinator's bytes-per-entry
+    accounting without decoding the frame.
 
     ``encoders`` holds one persistent :class:`ChannelEncoder` per
-    destination shard (v2 only): this worker's frames to a given peer
-    form one ordered channel, so recurring ids and messages backref
-    into the channel's cross-frame intern table.
+    destination shard: this worker's frames to a given peer form one
+    ordered channel, so recurring ids and messages are intern indices
+    into the channel's cross-frame tables.
     """
     entries = world.network.drain_egress()
     if not entries:
@@ -232,17 +171,16 @@ def _pack_egress(
         groups.setdefault(plan.shard_of(entry[1]), []).append(entry)
     frames = []
     for dest in sorted(groups):
-        group = _coalesce_dgc_singles(groups[dest])
+        group = groups[dest]
         has_app = any(not e[2].startswith("dgc.") for e in group)
         min_delivery = min(e[0] for e in group)
         channel = encoders.get(dest)
-        if channel is None and spec.wire_version == 2:
+        if channel is None:
             encoders[dest] = channel = ChannelEncoder()
-        buf = pack_frame(
-            spec.shard, next(seq), group, node_index,
-            version=spec.wire_version, channel=channel,
+        buf = pack_frame(spec.shard, next(seq), group, node_index, channel)
+        frames.append(
+            (dest, has_app, min_delivery, frame_entry_count(buf), buf)
         )
-        frames.append((dest, has_app, min_delivery, len(group), buf))
     return frames
 
 
@@ -330,13 +268,12 @@ def _serve(conn, spec: WorkerSpec) -> None:
     node_index = {name: index for index, name in enumerate(node_names)}
     seq = itertools.count()
     phase = 0
-    # Persistent codec channels (v2): one encoder per destination shard,
-    # one decoder per source shard.  Sound because each channel's frames
+    # Persistent codec channels: one encoder per destination shard, one
+    # decoder per source shard.  Sound because each channel's frames
     # are packed and decoded in seq order — the coordinator routes in
     # stamp order and we sort raw buffers by stamp *before* decoding.
     encoders: Dict[int, ChannelEncoder] = {}
     decoders: Dict[int, ChannelDecoder] = {}
-    stateful = spec.wire_version == 2
     _send_report(conn, world, env, spec, node_index, seq, phase, encoders)
     while True:
         message = conn.recv()
@@ -351,7 +288,7 @@ def _serve(conn, spec: WorkerSpec) -> None:
                 stamped.sort(key=lambda pair: pair[0])
                 for (src, _), buf in stamped:
                     channel = decoders.get(src)
-                    if channel is None and stateful:
+                    if channel is None:
                         decoders[src] = channel = ChannelDecoder()
                     network.inject_remote_entries(
                         unpack_frame(buf, node_names, channel).entries

@@ -1,7 +1,8 @@
 """Fixture shard codec: plays the role of ``repro/net/wire.py``.
 
-Defines the four codec functions the symmetric-coverage check keys on
-(v1 encode/decode, the v2 encoder's ``value`` method, v2 decode) plus
+Defines the two encode/decode pairs the symmetric-coverage check keys on
+(the tagged encoder's ``value`` method with ``_decode_value``, and the
+record-column encoder's ``record`` method with ``_decode_record``) plus
 the ``KIND_PAYLOAD_TYPES`` manifest.
 """
 
@@ -57,24 +58,21 @@ class FabAsym:
         self.a = a
 
 
-def _encode_value(out, value):
-    cls = value.__class__
-    if cls is FabPing:
-        out.append(1)
-    elif cls is FabPong:
-        out.append(2)
-    elif cls is FabLost:
-        out.append(3)
-    elif cls is FabPair:
-        out.append(4)
-    elif cls is FabAlien:
-        out.append(5)
-    elif cls is FabAsym:  # expect[KIND-codec]
-        out.append(6)
-    out.append(value.a)
+class FabRecord:
+    __slots__ = ("a",)
+
+    def __init__(self, a):
+        self.a = a
 
 
-class _V2Encoder:
+class FabHalfRecord:
+    __slots__ = ("a",)
+
+    def __init__(self, a):
+        self.a = a
+
+
+class _Encoder:
     __slots__ = ("out",)
 
     def __init__(self):
@@ -88,11 +86,19 @@ class _V2Encoder:
             self.out.append(2)
         elif cls is FabLost:
             self.out.append(3)
-        elif cls is FabPair:
-            self.out.append(4)
         elif cls is FabAlien:
             self.out.append(5)
+        elif cls is FabAsym:  # expect[KIND-codec]
+            self.out.append(6)
         self.out.append(value.a)
+
+    def record(self, record):
+        cls = record.__class__
+        if cls is FabPair:
+            self.out.append(4)
+        elif cls is FabRecord:
+            self.out.append(7)
+        self.out.append(record.a)
 
 
 def _decode_value(tag, body):
@@ -102,21 +108,15 @@ def _decode_value(tag, body):
         return FabPong(body)
     if tag == 3:
         return FabLost(body)
-    if tag == 4:
-        return FabPair(body)
     return FabAlien(body)
 
 
-def _decode_value_v2(tag, body):
-    if tag == 1:
-        return FabPing(body)
-    if tag == 2:
-        return FabPong(body)
-    if tag == 3:
-        return FabLost(body)
+def _decode_record(tag, body):
     if tag == 4:
         return FabPair(body)
-    return FabAlien(body)
+    if tag == 7:
+        return FabRecord(body)
+    return FabHalfRecord(body)  # expect[KIND-codec]
 
 
 KIND_PAYLOAD_TYPES = {

@@ -8,8 +8,8 @@ Three concerns:
   and on cancel), so ``PerfReport`` and the benchmarks read either
   kernel uniformly;
 * **virtual-time mode** — the caller-driven mode the shard workers run
-  in: ``advance(horizon)`` fires strictly-before-horizon events inline
-  and ``now`` tracks the virtual clock;
+  in: ``advance(horizon)`` fires strictly-before-horizon events inline,
+  ``now`` tracks the virtual clock, and scheduling takes no lock;
 * **teardown** — ``shutdown`` drains the beat wheel, so a stopped
   shard's kernel never fires a periodic callback into a torn-down
   world (regression for the beat-wheel teardown bug).
@@ -17,9 +17,11 @@ Three concerns:
 
 import threading
 import time
+import types
 
 import pytest
 
+import repro.live.kernel as live_kernel
 from repro.errors import SchedulingInPastError, SimulationError
 from repro.live import LiveKernel
 from repro.sim.kernel import SimKernel
@@ -91,6 +93,52 @@ def test_virtual_advance_is_exclusive_and_sets_clock():
     assert kernel.advance(2.5) == 1
     assert times == [1.0, 2.0]
     assert kernel.next_event_time() is None
+
+
+class _CountingLock:
+    """Stands in for every threading primitive the kernel builds and
+    counts each acquire, context entry and notify."""
+
+    taken = 0
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def _take(self, *args, **kwargs):
+        _CountingLock.taken += 1
+        return True
+
+    acquire = notify = notify_all = _take
+
+    def __enter__(self):
+        self._take()
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def release(self):
+        pass
+
+
+def test_virtual_mode_schedules_without_locks(monkeypatch):
+    monkeypatch.setattr(live_kernel, "threading", types.SimpleNamespace(
+        Lock=_CountingLock, RLock=_CountingLock, Condition=_CountingLock,
+        Thread=threading.Thread,
+    ))
+    monkeypatch.setattr(_CountingLock, "taken", 0)
+    kernel = LiveKernel(virtual_time=True)
+    fired = []
+    kernel.schedule_at(1.0, fired.append, "at")
+    kernel.schedule(0.5, fired.append, "delay")
+    kernel.schedule_fire_at(2.0, fired.append, ("fire",))
+    beat = kernel.schedule_periodic(
+        1.0, lambda: fired.append("beat"), first_delay=1.5
+    )
+    kernel.advance(3.0)
+    beat.stop()
+    assert fired == ["delay", "at", "beat", "fire", "beat"]
+    assert _CountingLock.taken == 0
 
 
 def test_virtual_advance_runs_nested_schedules_in_window():

@@ -12,6 +12,10 @@ the full-size comparison lives in ``benchmarks/test_perf_live.py``.
 
 from __future__ import annotations
 
+import os
+import signal
+import time
+
 import pytest
 
 from repro.core.config import DgcConfig
@@ -69,31 +73,6 @@ def test_torture_sharded_matches_replay():
         == result.events_fired
     )
     assert 0 < result.events_coordination < result.events_fired
-
-
-def test_wire_version_knob():
-    topo = two_site_topology()
-    v2 = ShardedWorld(
-        topo, 2, workload="torture", params=TORTURE_PARAMS,
-        dgc=small_dgc(), seed=3,
-    ).run()
-    v1 = ShardedWorld(
-        topo, 2, workload="torture", params=TORTURE_PARAMS,
-        dgc=small_dgc(), seed=3, wire_version=1,
-    ).run()
-    # Same run either way — only the frame encoding differs.
-    assert v1.outcome_signature() == v2.outcome_signature()
-    assert v1.rounds == v2.rounds
-    assert v1.frame_count == v2.frame_count
-    assert v1.frame_entries == v2.frame_entries
-    assert (v1.wire_version, v2.wire_version) == (1, 2)
-    # The v2 diet genuinely shrinks the same entry stream.
-    assert v2.frame_bytes < v1.frame_bytes
-    with pytest.raises(ConfigurationError, match="wire version"):
-        ShardedWorld(
-            topo, 2, workload="torture", params=TORTURE_PARAMS,
-            dgc=small_dgc(), wire_version=3,
-        )
 
 
 def test_metro_wan_sharded_matches_replay():
@@ -329,6 +308,47 @@ def test_nas_reply_barrier_rejected():
             params=dict(kernel="ft", ao_count=4, reply_barrier=True),
             dgc=small_dgc(),
         ).run()
+
+
+class _KillsWorkerOne(ShardedWorld):
+    """Kills worker 1 with SIGKILL right after its third report."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.reports = 0
+        self.worker_reports = 0
+        self.killed_at = None
+        self.killed_t = None
+
+    def _recv_report(self, conn):
+        report = super()._recv_report(conn)
+        self.reports += 1
+        if conn is self._conns[1] and self.killed_at is None:
+            self.worker_reports += 1
+            if self.worker_reports == 3:
+                os.kill(self._procs[1].pid, signal.SIGKILL)
+                self.killed_at = self.reports
+                self.killed_t = time.monotonic()
+        return report
+
+
+def test_dead_worker_fails_fast():
+    """A worker killed mid-run surfaces as a SimulationError naming its
+    shard and exit code within one round, and the surviving worker is
+    ended rather than waited on."""
+    world = _KillsWorkerOne(
+        two_site_topology(), 2, workload="torture", params=TORTURE_PARAMS,
+        dgc=small_dgc(), seed=3,
+    )
+    with pytest.raises(
+        SimulationError, match=r"shard worker 1 died.*exit code -9"
+    ):
+        world.run()
+    assert world.killed_at is not None
+    # Within one round: at most one report per shard after the kill.
+    assert world.reports - world.killed_at <= world.plan.shard_count
+    assert time.monotonic() - world.killed_t < 5.0
+    assert not any(proc.is_alive() for proc in world._procs)
 
 
 def test_plan_partitions_nodes_contiguously():

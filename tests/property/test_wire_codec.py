@@ -1,27 +1,21 @@
 """The shard wire codec round-trips staged pulse batches bit-identically.
 
-The cross-shard frame is the columnar pulse made literal: whatever the
-egress stages must come back from ``unpack_frame(pack_frame(...))``
-field-for-field equal, for every traffic family the fabric routes —
-app requests/replies, DGC singles, registry messages, and the site-pair
-aggregate columns (flat target/message lists) the relaxed tier emits.
-Kinds must come back as the *canonical interned constants* (the columnar
-fire loop dispatches on kind identity).  Truncated or corrupted buffers
-must raise :class:`WireFormatError`, never return garbage.
+The cross-shard frame carries what the egress stages: whatever goes in
+must come back from ``unpack_frame(pack_frame(...))`` field-for-field
+equal, for every traffic family the fabric routes — app
+requests/replies, DGC singles and site-pair aggregate runs, registry
+messages.  Kinds must come back as the *canonical interned constants*
+(the columnar fire loop dispatches on kind identity).  Truncated or
+corrupted buffers must raise :class:`WireFormatError`, never return
+garbage.
 
-Both frame formats are under test: every property holds for v1 and v2,
-v1 and v2 packings of the same batch decode to equal entry multisets
-(cross-decode parity), and the v2-specific paths — varints, the intern
-table and its backrefs, coalesced runs — have targeted corruption
-coverage.
-
-v1 preserves staged order exactly.  v2 normalizes it: entries sharing
-``(kind, delivery instant, destination)`` coalesce into one run, runs
-appear in first-occurrence order, and items keep their staged order
-within a run — a deterministic permutation with every value still
-bit-identical (the run key uses the delivery's IEEE bits, so -0.0 and
-0.0 never merge).  :func:`v2_normalized` is the reference model of
-that permutation.
+The frame groups entries into blocks by ``(kind, delivery instant,
+destination)`` — blocks in first-occurrence order, rows in staged order
+within a block — and a DGC block (singles and aggregate runs of one
+family together) decodes to one aggregate entry with the concatenated
+columns.  :func:`normalized` is the reference model of that
+permutation; every value stays bit-identical (the block key uses the
+delivery's IEEE bits, so -0.0 and 0.0 never merge).
 """
 
 from __future__ import annotations
@@ -40,9 +34,8 @@ from repro.net.wire import (
     ChannelEncoder,
     Frame,
     WireFormatError,
+    frame_entry_count,
     frame_stamp,
-    frame_version,
-    kind_table,
     pack_frame,
     unpack_frame,
 )
@@ -66,6 +59,14 @@ NODE_INDEX = {name: position for position, name in enumerate(NODES)}
 
 AGG_DGC_MESSAGE = kinds.AGGREGATE_KINDS[kinds.KIND_DGC_MESSAGE]
 AGG_DGC_RESPONSE = kinds.AGGREGATE_KINDS[kinds.KIND_DGC_RESPONSE]
+#: Staged DGC kind -> the family its frame block decodes under.
+FAMILY = {
+    kinds.KIND_DGC_MESSAGE: kinds.KIND_DGC_MESSAGE,
+    AGG_DGC_MESSAGE: kinds.KIND_DGC_MESSAGE,
+    kinds.KIND_DGC_RESPONSE: kinds.KIND_DGC_RESPONSE,
+    AGG_DGC_RESPONSE: kinds.KIND_DGC_RESPONSE,
+}
+STAGED_KINDS = kinds.ALL_KINDS + (AGG_DGC_MESSAGE, AGG_DGC_RESPONSE)
 
 
 # ----------------------------------------------------------------------
@@ -185,31 +186,45 @@ registry_items = st.one_of(
     ),
 )
 
-deliveries = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+#: A few shared instants, so blocks genuinely merge entries.
+deliveries = st.one_of(
+    st.sampled_from([0.0, 2.5, 7.75]),
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+)
+
+
+def aggregate_columns(records):
+    """Parallel target/record lists of one equal length."""
+    return st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.tuples(
+            st.lists(ids, min_size=n, max_size=n),
+            st.lists(records, min_size=n, max_size=n),
+        )
+    )
 
 
 def entry_for(kind):
     """A staged-entry strategy whose item/payload match ``kind``'s shape."""
     if kind is kinds.KIND_DGC_MESSAGE:
-        item, payload = ids, dgc_messages
+        columns = st.tuples(ids, dgc_messages)
     elif kind is kinds.KIND_DGC_RESPONSE:
-        item, payload = ids, dgc_responses
+        columns = st.tuples(ids, dgc_responses)
     elif kind is AGG_DGC_MESSAGE:
-        item = st.lists(ids, min_size=1, max_size=6)
-        payload = st.lists(dgc_messages, min_size=1, max_size=6)
+        columns = aggregate_columns(dgc_messages)
     elif kind is AGG_DGC_RESPONSE:
-        item = st.lists(ids, min_size=1, max_size=6)
-        payload = st.lists(dgc_responses, min_size=1, max_size=6)
+        columns = aggregate_columns(dgc_responses)
     elif kind is kinds.KIND_APP_REQUEST:
-        item, payload = requests, st.none()
+        columns = st.tuples(requests, st.none())
     elif kind is kinds.KIND_APP_REPLY:
-        item, payload = replies, st.none()
+        columns = st.tuples(replies, st.none())
     else:
-        item, payload = registry_items, st.none()
-    return st.tuples(deliveries, node_names, st.just(kind), item, payload)
+        columns = st.tuples(registry_items, st.none())
+    return st.tuples(deliveries, node_names, st.just(kind), columns).map(
+        lambda t: (t[0], t[1], t[2], t[3][0], t[3][1])
+    )
 
 
-staged_entries = st.one_of([entry_for(kind) for kind in kind_table()])
+staged_entries = st.one_of([entry_for(kind) for kind in STAGED_KINDS])
 staged_batches = st.lists(staged_entries, max_size=12)
 stamps = st.tuples(
     st.integers(min_value=0, max_value=15),
@@ -226,68 +241,71 @@ def _delivery_bits(delivery: float) -> bytes:
     return struct.pack("!d", delivery)
 
 
-def v2_normalized(entries):
-    """The v2 order normalization, modelled independently of the codec:
-    group by (kind, delivery IEEE bits, dest) in first-occurrence
-    order, entries keeping staged order within a group."""
+def normalized(entries):
+    """The frame's decode order, modelled independently of the codec:
+    group by (block kind, delivery IEEE bits, dest) in first-occurrence
+    order; a DGC group becomes one aggregate entry whose columns
+    concatenate its singles and runs in staged order, any other group
+    its rows in staged order."""
     groups = {}
-    for entry in entries:
-        delivery = entry[0]
-        if type(delivery) is not float:
-            delivery = float(delivery)
-        key = (entry[2], _delivery_bits(delivery), entry[1])
-        groups.setdefault(key, []).append(
-            (delivery, entry[1], entry[2], entry[3], entry[4])
+    for delivery, dest, kind, item, payload in entries:
+        delivery = float(delivery)
+        family = FAMILY.get(kind, kind)
+        key = (family, _delivery_bits(delivery), dest)
+        groups.setdefault(key, (delivery, dest, family, []))[3].append(
+            (kind, item, payload)
         )
-    return [entry for bucket in groups.values() for entry in bucket]
+    out = []
+    for delivery, dest, family, rows in groups.values():
+        if family in FAMILY:
+            targets, records = [], []
+            for kind, item, payload in rows:
+                if kind is family:
+                    targets.append(item)
+                    records.append(payload)
+                else:
+                    targets.extend(item)
+                    records.extend(payload)
+            out.append((delivery, dest, kinds.AGGREGATE_KINDS[family],
+                        targets, records))
+        else:
+            out.extend(
+                (delivery, dest, kind, item, payload)
+                for kind, item, payload in rows
+            )
+    return out
 
 
-@pytest.mark.parametrize("version", [1, 2])
-@settings(max_examples=200, deadline=None)
-@given(batch=staged_batches, stamp=stamps)
-def test_roundtrip_bit_identical(version, batch, stamp):
-    shard, seq = stamp
-    buf = pack_frame(shard, seq, batch, NODE_INDEX, version=version)
-    assert frame_version(buf) == version
-    frame = unpack_frame(buf, NODES)
-    assert isinstance(frame, Frame)
-    assert frame.src_shard == shard
-    assert frame.seq == seq
-    assert len(frame.entries) == len(batch)
-    expected = batch if version == 1 else v2_normalized(batch)
+def assert_decodes_to(frame, batch):
+    expected = normalized(batch)
+    assert len(frame.entries) == len(expected)
     for original, decoded in zip(expected, frame.entries):
         assert decoded == original
         # Bit identity for the delivery instant (== conflates ±0.0).
-        assert _delivery_bits(decoded[0]) == _delivery_bits(float(original[0]))
+        assert _delivery_bits(decoded[0]) == _delivery_bits(original[0])
         # Kind identity, not just equality: the columnar fire loop
         # dispatches with ``is`` against the canonical constants.
         assert decoded[2] is original[2]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(batch=staged_batches, stamp=stamps)
-def test_cross_decode_parity(batch, stamp):
-    """v1 and v2 packings of one batch decode to the same entries, v2's
-    in the normalized order."""
-    v1 = unpack_frame(
-        pack_frame(stamp[0], stamp[1], batch, NODE_INDEX, version=1), NODES
-    )
-    v2 = unpack_frame(
-        pack_frame(stamp[0], stamp[1], batch, NODE_INDEX, version=2), NODES
-    )
-    assert v2_normalized(v1.entries) == v2.entries
-    for left, right in zip(v2_normalized(v1.entries), v2.entries):
-        assert left[2] is right[2]
+def test_roundtrip_bit_identical(batch, stamp):
+    shard, seq = stamp
+    buf = pack_frame(shard, seq, batch, NODE_INDEX)
+    frame = unpack_frame(buf, NODES)
+    assert isinstance(frame, Frame)
+    assert frame.src_shard == shard
+    assert frame.seq == seq
+    assert frame_entry_count(buf) == len(frame.entries)
+    assert_decodes_to(frame, batch)
 
 
-@pytest.mark.parametrize("version", [1, 2])
 @settings(max_examples=100, deadline=None)
 @given(batch=staged_batches, stamp=stamps)
-def test_truncation_always_raises(version, batch, stamp):
-    buf = pack_frame(stamp[0], stamp[1], batch, NODE_INDEX, version=version)
+def test_truncation_always_raises(batch, stamp):
+    buf = pack_frame(stamp[0], stamp[1], batch, NODE_INDEX)
     for cut in range(0, len(buf), max(1, len(buf) // 17)):
-        if cut == len(buf):
-            continue
         with pytest.raises(WireFormatError):
             unpack_frame(buf[:cut], NODES)
 
@@ -298,13 +316,40 @@ def test_every_kind_has_a_column_shape():
     covered = {
         kinds.KIND_DGC_MESSAGE,
         kinds.KIND_DGC_RESPONSE,
-        AGG_DGC_MESSAGE,
-        AGG_DGC_RESPONSE,
         kinds.KIND_APP_REQUEST,
         kinds.KIND_APP_REPLY,
     }
-    for kind in kind_table():
+    for kind in kinds.ALL_KINDS:
         assert kind in covered or kind.startswith("registry."), kind
+    assert set(kinds.AGGREGATE_KINDS.values()) <= set(STAGED_KINDS)
+
+
+def _message(owner: str, node: str = NODES[1]) -> DgcMessage:
+    return DgcMessage(
+        sender=owner,
+        clock=ActivityClock(3, owner),
+        consensus=True,
+        sender_ref=RemoteRef(owner, node),
+        sender_ttb=5.0,
+    )
+
+
+def test_dgc_singles_and_runs_decode_in_staged_order():
+    """Regression: a DGC single, a same-kind aggregate run, then another
+    single for one (delivery, dest) — ``t1, [t2, t3], t4`` — decode as
+    one run in exactly that order, the order a single process delivers
+    them in (singles used to be pulled ahead: ``t1, t4, t2, t3``)."""
+    message = _message("ao-00000001:slave1")
+    batch = [
+        (4.0, NODES[2], kinds.KIND_DGC_MESSAGE, "t1", message),
+        (4.0, NODES[2], AGG_DGC_MESSAGE, ["t2", "t3"], [message, message]),
+        (4.0, NODES[2], kinds.KIND_DGC_MESSAGE, "t4", message),
+    ]
+    frame = unpack_frame(pack_frame(0, 0, batch, NODE_INDEX), NODES)
+    assert frame.entries == [
+        (4.0, NODES[2], AGG_DGC_MESSAGE, ["t1", "t2", "t3", "t4"],
+         [message] * 4),
+    ]
 
 
 def test_bad_magic_rejected():
@@ -314,150 +359,218 @@ def test_bad_magic_rejected():
         unpack_frame(corrupt, NODES)
 
 
-def test_unknown_tag_rejected():
-    entry = (1.0, NODES[0], kinds.KIND_APP_REQUEST,
-             Request("do_ping", "ao-1:a", "ao-2:b"), None)
-    buf = pack_frame(0, 0, [entry], NODE_INDEX, version=1)
-    # The first tag byte follows the entry head; stomp it.
-    offset = 20 + 11  # header (20) + entry head (11)
-    corrupt = buf[:offset] + b"\xff" + buf[offset + 1:]
-    with pytest.raises(WireFormatError, match="tag"):
-        unpack_frame(corrupt, NODES)
-
-
 # ----------------------------------------------------------------------
-# v2-specific paths: varints, intern table, kind runs
+# Surgical corruption of a known layout
 # ----------------------------------------------------------------------
 
-_V2_HEADER_SIZE = 20  # shared !HHIId header
+_HEADER_SIZE = 12  # !HHII
+#: Body offsets of a one-row app frame at delivery 1.0 to NODES[0]:
+_BLOCK_COUNT = _HEADER_SIZE  # varint 1
+_KIND = _HEADER_SIZE + 1  # kind index column
+_SIZE = _HEADER_SIZE + 3  # after the size-width byte
+_DELIVERY_TAG = _HEADER_SIZE + 6  # after column length + fresh count
+_DELIVERY_INDEX = _DELIVERY_TAG + 9
+_DEST = _DELIVERY_INDEX + 1
+_ROW = _DEST + 7  # after three empty DGC columns (length, fresh)
 
 
-def _v2_single_entry_frame():
-    """A one-entry v2 frame whose run head is exactly two one-byte
-    varints (run length 1, then a kind index < 128), so the first value
-    tag sits at a known offset for surgical corruption."""
-    entry = (1.0, NODES[0], kinds.KIND_APP_REQUEST,
-             Request("do_ping", "ao-1:a", "ao-2:b"), None)
-    buf = pack_frame(0, 0, [entry], NODE_INDEX, version=2)
-    assert buf[_V2_HEADER_SIZE] == 1  # run length
-    assert buf[_V2_HEADER_SIZE + 1] < 0x80  # kind index fits one byte
+def _single_row_frame(item=None):
+    """A one-row app frame whose columns sit at the offsets above."""
+    if item is None:
+        item = Request("do_ping", "ao-1:a", "ao-2:b")
+    entry = (1.0, NODES[0], kinds.KIND_APP_REQUEST, item, None)
+    buf = pack_frame(0, 0, [entry], NODE_INDEX)
+    assert buf[_BLOCK_COUNT] == 1
+    assert buf[_KIND] == kinds.ALL_KINDS.index(kinds.KIND_APP_REQUEST)
+    assert buf[_SIZE] == 1
+    assert buf[_DELIVERY_TAG] == 0x05  # the tagged float literal
+    assert buf[_DELIVERY_INDEX] == 0
+    assert buf[_DEST] == 0
+    assert buf[_DEST + 1:_ROW] == bytes(6)
     return buf
 
 
-def test_v2_unknown_tag_rejected():
-    buf = _v2_single_entry_frame()
-    offset = _V2_HEADER_SIZE + 2  # first value tag (the delivery float)
-    corrupt = buf[:offset] + b"\xff" + buf[offset + 1:]
+def _stomp(buf, offset, value):
+    corrupt = bytearray(buf)
+    corrupt[offset] = value
+    return bytes(corrupt)
+
+
+def test_unknown_tag_rejected():
+    buf = _single_row_frame()
+    assert buf[_ROW] == 0x13  # the Request tag
     with pytest.raises(WireFormatError, match="tag"):
-        unpack_frame(corrupt, NODES)
+        unpack_frame(_stomp(buf, _ROW, 0xFF), NODES)
 
 
-def test_v2_backref_out_of_range_rejected():
-    buf = _v2_single_entry_frame()
-    # Replace the delivery float value (tag + 8 bytes) with a backref
-    # into the still-empty intern table.
-    offset = _V2_HEADER_SIZE + 2
-    corrupt = buf[:offset] + b"\x0b\x05" + buf[offset + 9:]
+def test_tagged_backref_out_of_range_rejected():
+    buf = _single_row_frame(item="ao-1:a")
+    # Replace the string literal (tag, length, 6 bytes) with a backref
+    # into the still-empty tagged table.
+    corrupt = buf[:_ROW] + b"\x0b\x05" + buf[_ROW + 8:]
     with pytest.raises(WireFormatError, match="backref"):
         unpack_frame(corrupt, NODES)
 
 
-def test_v2_non_float_delivery_rejected():
-    buf = _v2_single_entry_frame()
-    # Replace the delivery float (tag + 8 payload bytes) with _T_NONE.
-    offset = _V2_HEADER_SIZE + 2
-    corrupt = buf[:offset] + b"\x00" + buf[offset + 9:]
+def test_column_backref_out_of_range_rejected():
+    buf = _single_row_frame()
+    with pytest.raises(WireFormatError, match="backref"):
+        unpack_frame(_stomp(buf, _DELIVERY_INDEX, 5), NODES)
+
+
+def test_non_float_delivery_rejected():
+    buf = _single_row_frame()
     with pytest.raises(WireFormatError, match="delivery"):
-        unpack_frame(corrupt, NODES)
+        unpack_frame(_stomp(buf, _DELIVERY_TAG, 0x00), NODES)
 
 
-def test_v2_empty_run_rejected():
-    buf = _v2_single_entry_frame()
-    corrupt = bytearray(buf)
-    corrupt[_V2_HEADER_SIZE] = 0  # run length 0
-    with pytest.raises(WireFormatError, match="run"):
-        unpack_frame(bytes(corrupt), NODES)
+def test_non_float_delivery_rejected_at_pack():
+    entry = ("soon", NODES[0], kinds.KIND_APP_REPLY, Reply(1, "ao-1:a"), None)
+    with pytest.raises(WireFormatError, match="delivery"):
+        pack_frame(0, 0, [entry], NODE_INDEX)
 
 
-def test_v2_run_overflowing_count_rejected():
-    buf = _v2_single_entry_frame()
-    corrupt = bytearray(buf)
-    corrupt[_V2_HEADER_SIZE] = 2  # run claims 2 entries, header says 1
+def test_empty_run_rejected():
+    buf = _single_row_frame()
+    with pytest.raises(WireFormatError, match="empty"):
+        unpack_frame(_stomp(buf, _SIZE, 0), NODES)
+
+
+def test_run_overflowing_count_rejected():
+    buf = _single_row_frame()
     with pytest.raises(WireFormatError, match="overflows"):
-        unpack_frame(bytes(corrupt), NODES)
+        unpack_frame(_stomp(buf, _SIZE, 2), NODES)
 
 
-def test_v2_overlong_varint_rejected():
-    buf = _v2_single_entry_frame()
-    # An 11-byte all-continuation varint where the run length belongs.
-    corrupt = (buf[:_V2_HEADER_SIZE] + b"\x80" * 10 + b"\x01"
-               + buf[_V2_HEADER_SIZE + 1:])
+def test_dgc_run_overflowing_columns_rejected():
+    batch = [(1.0, NODES[0], kinds.KIND_DGC_MESSAGE, "t1",
+              _message("ao-00000001:slave1"))]
+    buf = pack_frame(0, 0, batch, NODE_INDEX)
+    assert buf[_SIZE] == 1
+    with pytest.raises(WireFormatError, match="overflows"):
+        unpack_frame(_stomp(buf, _SIZE, 2), NODES)
+
+
+def test_overlong_varint_rejected():
+    buf = _single_row_frame()
+    # An 11-byte all-continuation varint where the block count belongs.
+    corrupt = (buf[:_BLOCK_COUNT] + b"\x80" * 10 + b"\x01"
+               + buf[_BLOCK_COUNT + 1:])
     with pytest.raises(WireFormatError, match="varint"):
         unpack_frame(corrupt, NODES)
 
 
-def test_v2_bad_kind_index_rejected():
-    buf = _v2_single_entry_frame()
-    corrupt = bytearray(buf)
-    corrupt[_V2_HEADER_SIZE + 1] = 0x7F  # kind index 127: out of range
+def test_bad_kind_index_rejected():
+    buf = _single_row_frame()
     with pytest.raises(WireFormatError, match="kind index"):
-        unpack_frame(bytes(corrupt), NODES)
+        unpack_frame(_stomp(buf, _KIND, 0x7F), NODES)
 
 
-def test_v2_interning_shares_decoded_objects():
+def test_bad_destination_index_rejected():
+    buf = _single_row_frame()
+    with pytest.raises(WireFormatError, match="destination index"):
+        unpack_frame(_stomp(buf, _DEST, 0x7F), NODES)
+
+
+def test_bad_size_width_rejected():
+    buf = _single_row_frame()
+    with pytest.raises(WireFormatError, match="width"):
+        unpack_frame(_stomp(buf, _SIZE - 1, 3), NODES)
+
+
+def test_trailing_garbage_rejected():
+    buf = pack_frame(0, 0, [], NODE_INDEX)
+    with pytest.raises(WireFormatError, match="trailing"):
+        unpack_frame(buf + b"\x00", NODES)
+
+
+# ----------------------------------------------------------------------
+# Interned DGC columns
+# ----------------------------------------------------------------------
+
+
+def test_interning_shares_decoded_objects():
     """A beat's one DgcMessage fanned out across an aggregate's targets
     decodes back to *one* shared object — the in-process sharing the
     fan-out had before it crossed the wire."""
-    clock = ActivityClock(3, "ao-00000001:slave1")
-    message = DgcMessage(
-        sender="ao-00000001:slave1",
-        clock=clock,
-        consensus=True,
-        sender_ref=RemoteRef("ao-00000001:slave1", NODES[1]),
-        sender_ttb=5.0,
-    )
+    message = _message("ao-00000001:slave1")
     targets = [f"ao-{n:08d}:slave{n}" for n in range(8)]
     entries = [
         (7.5, NODES[0], AGG_DGC_MESSAGE, list(targets), [message] * 8),
         (7.5, NODES[2], AGG_DGC_MESSAGE, list(targets), [message] * 8),
     ]
-    frame = unpack_frame(
-        pack_frame(0, 0, entries, NODE_INDEX, version=2), NODES
-    )
+    frame = unpack_frame(pack_frame(0, 0, entries, NODE_INDEX), NODES)
     first = frame.entries[0][4][0]
     assert first == message
     for entry in frame.entries:
         assert all(decoded is first for decoded in entry[4])
+    # Equal ids share one decoded string across blocks as well.
+    assert frame.entries[0][3][3] is frame.entries[1][3][3]
 
 
-def test_v2_shrinks_fanout_traffic():
-    """The intern table must collapse repeated messages/ids: a sharing-
-    heavy aggregate batch packs at least 5x smaller in v2 than v1."""
-    clock = ActivityClock(9, "ao-00000042:slave42")
-    message = DgcMessage(
-        sender="ao-00000042:slave42",
-        clock=clock,
-        consensus=False,
-        sender_ref=RemoteRef("ao-00000042:slave42", NODES[3]),
-        sender_ttb=5.0,
-    )
+def test_equal_records_share_one_slot():
+    """Equal-but-distinct records (two responders building the same
+    response) cost one literal: the value memo backs the identity memo."""
+    clock = ActivityClock(2, "ao-00000007:slave7")
+    batch = [
+        (3.0, NODES[1], kinds.KIND_DGC_RESPONSE, f"t{n}",
+         DgcResponse("ao-00000007:slave7", clock, True))
+        for n in range(40)
+    ]
+    frame = unpack_frame(pack_frame(0, 0, batch, NODE_INDEX), NODES)
+    (entry,) = frame.entries
+    assert entry[2] is AGG_DGC_RESPONSE
+    assert all(record is entry[4][0] for record in entry[4])
+
+
+def test_fanout_rows_cost_index_bytes():
+    """Repeated rows are pure index columns: once a channel has seen a
+    fan-out's ids and message, re-sending its 512 rows costs two bytes
+    per row (one target index, one record index) plus the block table."""
+    message = _message("ao-00000042:slave42", NODES[3])
     targets = [f"ao-{n:08d}:slave{n % 7}" for n in range(32)]
     entries = [
         (100.25, NODES[index % len(NODES)], AGG_DGC_MESSAGE,
          list(targets), [message] * 32)
         for index in range(16)
     ]
-    v1 = pack_frame(0, 0, entries, NODE_INDEX, version=1)
-    v2 = pack_frame(0, 0, entries, NODE_INDEX, version=2)
-    assert len(v2) * 5 <= len(v1)
-    assert (
-        v2_normalized(unpack_frame(v1, NODES).entries)
-        == unpack_frame(v2, NODES).entries
-    )
+    encoder = ChannelEncoder()
+    decoder = ChannelDecoder()
+    first = pack_frame(0, 0, entries, NODE_INDEX, channel=encoder)
+    second = pack_frame(0, 1, entries, NODE_INDEX, channel=encoder)
+    assert len(second) <= 2 * 512 + 64
+    for buf in (first, second):
+        assert_decodes_to(unpack_frame(buf, NODES, channel=decoder), entries)
+
+
+def test_wide_tables_use_wider_indices():
+    """Past 256 interned targets the index column widens to two bytes,
+    and decoding follows it."""
+    message = _message("ao-00000001:slave1")
+    targets = [f"ao-{n:08d}:x" for n in range(300)]
+    batch = [(1.0, NODES[0], AGG_DGC_MESSAGE, targets, [message] * 300)]
+    frame = unpack_frame(pack_frame(0, 0, batch, NODE_INDEX), NODES)
+    assert frame.entries[0][3] == targets
+
+
+def test_unencodable_dgc_columns_rejected_at_pack():
+    message = _message("ao-00000001:slave1")
+    with pytest.raises(WireFormatError, match="target"):
+        pack_frame(0, 0, [(1.0, NODES[0], kinds.KIND_DGC_MESSAGE, 7,
+                           message)], NODE_INDEX)
+    with pytest.raises(WireFormatError, match="encode"):
+        pack_frame(0, 0, [(1.0, NODES[0], kinds.KIND_DGC_RESPONSE, "t1",
+                           message)], NODE_INDEX)
+    with pytest.raises(WireFormatError, match="records"):
+        pack_frame(0, 0, [(1.0, NODES[0], AGG_DGC_MESSAGE, ["t1", "t2"],
+                           [message])], NODE_INDEX)
+    with pytest.raises(WireFormatError, match="unhashable"):
+        pack_frame(0, 0, [(1.0, NODES[0], kinds.KIND_DGC_MESSAGE, "t1",
+                           [message])], NODE_INDEX)
 
 
 # ----------------------------------------------------------------------
-# Persistent channels: the intern table across frames
+# Persistent channels: the intern tables across frames
 # ----------------------------------------------------------------------
 
 
@@ -470,45 +583,28 @@ def test_channel_roundtrip_across_frames(batches):
     encoder = ChannelEncoder()
     decoder = ChannelDecoder()
     for seq, batch in enumerate(batches):
-        buf = pack_frame(3, seq, batch, NODE_INDEX, version=2,
-                         channel=encoder)
+        buf = pack_frame(3, seq, batch, NODE_INDEX, channel=encoder)
         assert frame_stamp(buf) == (3, seq)
-        frame = unpack_frame(buf, NODES, channel=decoder)
-        expected = v2_normalized(batch)
-        assert len(frame.entries) == len(batch)
-        for original, decoded in zip(expected, frame.entries):
-            assert decoded == original
-            assert _delivery_bits(decoded[0]) == _delivery_bits(
-                float(original[0])
-            )
-            assert decoded[2] is original[2]
+        assert_decodes_to(unpack_frame(buf, NODES, channel=decoder), batch)
 
 
 def test_channel_backrefs_carry_across_frames():
-    """The second frame of a repetitive stream is almost pure backrefs —
+    """The second frame of a repetitive stream is almost pure indices —
     and decoding it *without* the channel state proves the dependency
-    (its backrefs point into a table only frame one built)."""
-    clock = ActivityClock(3, "ao-00000001:slave1")
-    message = DgcMessage(
-        sender="ao-00000001:slave1",
-        clock=clock,
-        consensus=True,
-        sender_ref=RemoteRef("ao-00000001:slave1", NODES[1]),
-        sender_ttb=5.0,
-    )
+    (its indices point into tables only frame one built)."""
     batch = [(7.5, NODES[0], kinds.KIND_DGC_MESSAGE,
-              "ao-00000002:slave2", message)]
+              "ao-00000002:slave2", _message("ao-00000001:slave1"))]
     encoder = ChannelEncoder()
-    first = pack_frame(0, 0, batch, NODE_INDEX, version=2, channel=encoder)
-    second = pack_frame(0, 1, batch, NODE_INDEX, version=2, channel=encoder)
-    assert len(second) < len(first) - 20  # body shrank to backrefs
+    first = pack_frame(0, 0, batch, NODE_INDEX, channel=encoder)
+    second = pack_frame(0, 1, batch, NODE_INDEX, channel=encoder)
+    assert len(second) < len(first) - 20  # body shrank to indices
     decoder = ChannelDecoder()
     one = unpack_frame(first, NODES, channel=decoder)
     two = unpack_frame(second, NODES, channel=decoder)
     assert one.entries == two.entries
     # Cross-frame sharing: both frames decode to the *same* objects.
-    assert one.entries[0][4] is two.entries[0][4]
-    assert one.entries[0][3] is two.entries[0][3]
+    assert one.entries[0][4][0] is two.entries[0][4][0]
+    assert one.entries[0][3][0] is two.entries[0][3][0]
     # Stateless decode of frame two must fail, not fabricate values.
     with pytest.raises(WireFormatError, match="backref"):
         unpack_frame(second, NODES)
@@ -518,53 +614,44 @@ def test_channel_skipped_frame_desyncs_loudly():
     """Frames must decode in pack order: skipping one leaves backrefs
     pointing past the decoder's table."""
     encoder = ChannelEncoder()
-    batch_of = lambda text: [(1.0, NODES[0], kinds.KIND_APP_REQUEST,
-                              Request("do_ping", "ao-1:a", text), None)]
-    pack_frame(0, 0, batch_of("ao-2:b"), NODE_INDEX, version=2,
-               channel=encoder)
-    pack_frame(0, 1, batch_of("ao-3:c"), NODE_INDEX, version=2,
-               channel=encoder)
-    third = pack_frame(0, 2, batch_of("ao-3:c"), NODE_INDEX, version=2,
+
+    def batch_of(text):
+        return [(1.0, NODES[0], kinds.KIND_APP_REQUEST,
+                 Request("do_ping", "ao-1:a", text), None)]
+
+    pack_frame(0, 0, batch_of("ao-2:b"), NODE_INDEX, channel=encoder)
+    pack_frame(0, 1, batch_of("ao-3:c"), NODE_INDEX, channel=encoder)
+    third = pack_frame(0, 2, batch_of("ao-3:c"), NODE_INDEX,
                        channel=encoder)
     decoder = ChannelDecoder()
     # Decode frame 0 then frame 2: frame 2's backref to "ao-3:c" points
     # at an index only frame 1 would have registered.
-    first = pack_frame(0, 0, batch_of("ao-2:b"), NODE_INDEX, version=2)
+    first = pack_frame(0, 0, batch_of("ao-2:b"), NODE_INDEX)
     unpack_frame(first, NODES, channel=decoder)
     with pytest.raises(WireFormatError, match="backref"):
         unpack_frame(third, NODES, channel=decoder)
 
 
-def test_channel_state_is_v2_only():
-    entry = (0.0, NODES[0], kinds.KIND_APP_REPLY, Reply(1, "ao-1:a"), None)
-    with pytest.raises(WireFormatError, match="channel"):
-        pack_frame(0, 0, [entry], NODE_INDEX, version=1,
-                   channel=ChannelEncoder())
-    v1 = pack_frame(0, 0, [entry], NODE_INDEX, version=1)
-    with pytest.raises(WireFormatError, match="channel"):
-        unpack_frame(v1, NODES, channel=ChannelDecoder())
-
-
 def test_frame_stamp_matches_header():
     entry = (2.5, NODES[1], kinds.KIND_APP_REPLY, Reply(4, "ao-9:z"), None)
-    for version in (1, 2):
-        buf = pack_frame(6, 12345, [entry], NODE_INDEX, version=version)
-        assert frame_stamp(buf) == (6, 12345)
+    buf = pack_frame(6, 12345, [entry], NODE_INDEX)
+    assert frame_stamp(buf) == (6, 12345)
+    assert frame_entry_count(buf) == 1
     with pytest.raises(WireFormatError, match="truncated"):
         frame_stamp(buf[:10])
     with pytest.raises(WireFormatError, match="magic"):
         frame_stamp(b"\x00\x00" + buf[2:])
 
 
-def test_trailing_garbage_rejected():
-    buf = pack_frame(0, 0, [], NODE_INDEX)
-    with pytest.raises(WireFormatError, match="trailing"):
-        unpack_frame(buf + b"\x00", NODES)
-
-
 def test_unknown_destination_rejected_at_pack():
     entry = (0.0, "mars-0", kinds.KIND_APP_REPLY, Reply(1, "ao-1:a"), None)
     with pytest.raises(WireFormatError, match="topology"):
+        pack_frame(0, 0, [entry], NODE_INDEX)
+
+
+def test_unknown_kind_rejected_at_pack():
+    entry = (0.0, NODES[0], "app.mystery", Reply(1, "ao-1:a"), None)
+    with pytest.raises(WireFormatError, match="registered"):
         pack_frame(0, 0, [entry], NODE_INDEX)
 
 
