@@ -16,6 +16,9 @@ family together) decodes to one aggregate entry with the concatenated
 columns.  :func:`normalized` is the reference model of that
 permutation; every value stays bit-identical (the block key uses the
 delivery's IEEE bits, so -0.0 and 0.0 never merge).
+
+The ``test_v2_*`` tests keep the names they had when the tagged,
+interned encoding they check was the second of two frame formats.
 """
 
 from __future__ import annotations
@@ -288,12 +291,29 @@ def assert_decodes_to(frame, batch):
         assert decoded[2] is original[2]
 
 
+def _nth_frame(frames, shard, seq, batch):
+    """Pack ``batch`` ``frames`` times and return ``(buf, decoder)`` for
+    the last packing.  One frame packs statelessly (decoder ``None``);
+    more pack on one channel, and the returned decoder has decoded every
+    earlier frame, so the last one decodes against warm intern tables
+    (its repeated ids and records are pure indices)."""
+    if frames == 1:
+        return pack_frame(shard, seq, batch, NODE_INDEX), None
+    encoder = ChannelEncoder()
+    decoder = ChannelDecoder()
+    for _ in range(frames - 1):
+        unpack_frame(pack_frame(shard, seq, batch, NODE_INDEX,
+                                channel=encoder), NODES, channel=decoder)
+    return pack_frame(shard, seq, batch, NODE_INDEX, channel=encoder), decoder
+
+
+@pytest.mark.parametrize("frames", [1, 2])
 @settings(max_examples=200, deadline=None)
 @given(batch=staged_batches, stamp=stamps)
-def test_roundtrip_bit_identical(batch, stamp):
+def test_roundtrip_bit_identical(frames, batch, stamp):
     shard, seq = stamp
-    buf = pack_frame(shard, seq, batch, NODE_INDEX)
-    frame = unpack_frame(buf, NODES)
+    buf, decoder = _nth_frame(frames, shard, seq, batch)
+    frame = unpack_frame(buf, NODES, channel=decoder)
     assert isinstance(frame, Frame)
     assert frame.src_shard == shard
     assert frame.seq == seq
@@ -301,13 +321,17 @@ def test_roundtrip_bit_identical(batch, stamp):
     assert_decodes_to(frame, batch)
 
 
+@pytest.mark.parametrize("frames", [1, 2])
 @settings(max_examples=100, deadline=None)
 @given(batch=staged_batches, stamp=stamps)
-def test_truncation_always_raises(batch, stamp):
-    buf = pack_frame(stamp[0], stamp[1], batch, NODE_INDEX)
+def test_truncation_always_raises(frames, batch, stamp):
+    buf, _ = _nth_frame(frames, stamp[0], stamp[1], batch)
     for cut in range(0, len(buf), max(1, len(buf) // 17)):
+        # A failed decode may leave a channel decoder half-updated, so
+        # every cut gets a decoder freshly brought up to this frame.
+        _, decoder = _nth_frame(frames, stamp[0], stamp[1], batch)
         with pytest.raises(WireFormatError):
-            unpack_frame(buf[:cut], NODES)
+            unpack_frame(buf[:cut], NODES, channel=decoder)
 
 
 def test_every_kind_has_a_column_shape():
@@ -403,7 +427,20 @@ def test_unknown_tag_rejected():
         unpack_frame(_stomp(buf, _ROW, 0xFF), NODES)
 
 
-def test_tagged_backref_out_of_range_rejected():
+def test_v2_unknown_tag_rejected():
+    """The tagged fields inside a DGC record literal reject an unknown
+    tag too (the record column decodes them with the tagged codec)."""
+    sender = "ao-00000001:slave1"
+    batch = [(1.0, NODES[0], kinds.KIND_DGC_MESSAGE, "t1", _message(sender))]
+    buf = pack_frame(0, 0, batch, NODE_INDEX)
+    # The record's first field is the sender id: tag, length, bytes.
+    offset = buf.index(sender.encode()) - 2
+    assert buf[offset:offset + 2] == bytes([0x06, len(sender)])
+    with pytest.raises(WireFormatError, match="tag"):
+        unpack_frame(_stomp(buf, offset, 0xFF), NODES)
+
+
+def test_v2_backref_out_of_range_rejected():
     buf = _single_row_frame(item="ao-1:a")
     # Replace the string literal (tag, length, 6 bytes) with a backref
     # into the still-empty tagged table.
@@ -418,7 +455,7 @@ def test_column_backref_out_of_range_rejected():
         unpack_frame(_stomp(buf, _DELIVERY_INDEX, 5), NODES)
 
 
-def test_non_float_delivery_rejected():
+def test_v2_non_float_delivery_rejected():
     buf = _single_row_frame()
     with pytest.raises(WireFormatError, match="delivery"):
         unpack_frame(_stomp(buf, _DELIVERY_TAG, 0x00), NODES)
@@ -430,13 +467,13 @@ def test_non_float_delivery_rejected_at_pack():
         pack_frame(0, 0, [entry], NODE_INDEX)
 
 
-def test_empty_run_rejected():
+def test_v2_empty_run_rejected():
     buf = _single_row_frame()
     with pytest.raises(WireFormatError, match="empty"):
         unpack_frame(_stomp(buf, _SIZE, 0), NODES)
 
 
-def test_run_overflowing_count_rejected():
+def test_v2_run_overflowing_count_rejected():
     buf = _single_row_frame()
     with pytest.raises(WireFormatError, match="overflows"):
         unpack_frame(_stomp(buf, _SIZE, 2), NODES)
@@ -451,7 +488,7 @@ def test_dgc_run_overflowing_columns_rejected():
         unpack_frame(_stomp(buf, _SIZE, 2), NODES)
 
 
-def test_overlong_varint_rejected():
+def test_v2_overlong_varint_rejected():
     buf = _single_row_frame()
     # An 11-byte all-continuation varint where the block count belongs.
     corrupt = (buf[:_BLOCK_COUNT] + b"\x80" * 10 + b"\x01"
@@ -460,7 +497,7 @@ def test_overlong_varint_rejected():
         unpack_frame(corrupt, NODES)
 
 
-def test_bad_kind_index_rejected():
+def test_v2_bad_kind_index_rejected():
     buf = _single_row_frame()
     with pytest.raises(WireFormatError, match="kind index"):
         unpack_frame(_stomp(buf, _KIND, 0x7F), NODES)
@@ -489,7 +526,7 @@ def test_trailing_garbage_rejected():
 # ----------------------------------------------------------------------
 
 
-def test_interning_shares_decoded_objects():
+def test_v2_interning_shares_decoded_objects():
     """A beat's one DgcMessage fanned out across an aggregate's targets
     decodes back to *one* shared object — the in-process sharing the
     fan-out had before it crossed the wire."""
@@ -523,7 +560,7 @@ def test_equal_records_share_one_slot():
     assert all(record is entry[4][0] for record in entry[4])
 
 
-def test_fanout_rows_cost_index_bytes():
+def test_v2_shrinks_fanout_traffic():
     """Repeated rows are pure index columns: once a channel has seen a
     fan-out's ids and message, re-sending its 512 rows costs two bytes
     per row (one target index, one record index) plus the block table."""
