@@ -5,28 +5,22 @@ master plus 50 slaves on each of 128 machines, Sec. 5.3) — on the same
 seed through :func:`repro.harness.figures.run_fig10`, once per delivery
 core:
 
-* **aggregated** (``aggregation="exact"``) — the exact-order aggregated
-  columnar core: pooled pulse records, site-pair DGC runs staged as
-  single aggregate entries with flat ``(target_id, message)`` columns,
+* **aggregated** (``batched_beats=True``, the exact columnar core) —
+  beat-wheel scheduling, pooled pulse records, site-pair DGC runs staged
+  as single aggregate entries with flat ``(target_id, message)`` columns,
   batch-sink unwrapping and the steady-state receive diet;
-* **batched** (``"per-entry"``) — the previous (PR-3) batched core:
-  beat-wheel scheduling and per-instant pulses, but one
-  freshly-allocated 6-tuple entry and one typed dispatch per message;
-* **per-event** — the pre-wheel baseline: one cancellable kernel event
-  per activity per tick and one heap event per message;
-* **relaxed** — the relaxed-equivalence tier: DGC sends accumulate per
-  (site pair, kind) across instants and flush once per beat bucket, so
-  staging cost drops from per-adjacent-run to per-(site pair, beat).
+* **per-event** (``batched_beats=False``) — the reference: one
+  cancellable kernel event per activity per tick and one heap event per
+  message.
 
-The three exact cores must be bit-identical (same collected counts,
-same last-collected instant, same bandwidth, same sampled series).  The
-relaxed core is gated on the outcome tier — identical reachability
-verdicts against the per-event baseline (same activities created, the
-same set collected, zero dead letters and safety violations) — plus its
-two performance gates: staged-entry count reduced ``MIN_ENTRY_REDUCTION``x
-vs the exact-order core and wall clock ``MIN_RELAXED_SPEEDUP``x vs the
-per-entry batched core.  Results land in ``BENCH_fig10.json`` at the
-repo root (see PERFORMANCE.md).
+The two cores must be bit-identical (same collected counts, same
+last-collected instant, same bandwidth, same sampled series), and the
+exact core must beat the per-event reference by ``MIN_SPEEDUP`` in wall
+clock.  Every gate is evaluated inside the ``measurements`` fixture and
+``BENCH_fig10.json`` (repo root, see PERFORMANCE.md) is written only
+when all of them pass, so a failing run never leaves a committable
+artifact; the artifact records each gate's value and threshold in
+``meta.gates``.
 
 The time axis is compressed exactly like the throughput benchmark's
 (TTB=5 s, TTA=12 s, 150 s active phase): the *scale* axis — activity
@@ -35,27 +29,12 @@ period is shrunk so a full collapse fits in a benchmark run.
 
 Scale is controlled with ``REPRO_FIG10_SCALE``:
 
-* ``full`` (default) — the 6401-AO paper scale, gates at 1.05x
-  (aggregated, measured 1.08-1.15x best-of-rounds; the gate leaves
-  noise margin — see PERFORMANCE.md for why exact-order equivalence
-  caps site-pair merging on the torture graph), 1.3x (batched, measured
-  1.38-1.69x across runs), 1.25x (relaxed vs batched) and 5x (relaxed
-  staged-entry reduction);
-* ``smoke`` — 641 AOs for CI smoke jobs, wall-clock gates relaxed to
-  0.95x/1.1x/0.9x (small runs are noise-dominated; the artifact still
-  records the measured ratios).  The entry-reduction gate stays at 5x —
-  the counter is deterministic, and the flush-time site-level merge
-  keeps buckets dense even at 10 slaves per node (measured 12.5x at
-  smoke scale vs 25.9x at paper scale).
+* ``full`` (default) — the 6401-AO paper scale, gate at 1.3x;
+* ``smoke`` — 641 AOs for CI smoke jobs, gate at 1.1x (small runs are
+  noise-dominated; the artifact still records the measured ratio).
 
-``REPRO_FIG10_AXES`` splits the matrix for CI: ``exact`` measures only
-the three exact cores (the pre-existing axis), ``relaxed`` only the
-relaxed core and the baselines its gates compare against, ``all`` (the
-default) everything.
-
-The timed cores run ``ROUNDS`` times each (best-of-rounds) because the
-A/B gaps at full scale are a few seconds of a ~60 s run — single runs
-are at the mercy of machine noise.
+The exact core runs ``ROUNDS`` times (best-of-rounds) so one noisy run
+cannot sink the gate; the per-event run stays single-shot.
 """
 
 from __future__ import annotations
@@ -80,14 +59,10 @@ BENCH_PATH = REPO_ROOT / "BENCH_fig10.json"
 PR_LABEL = "PR6"
 
 SCALE = os.environ.get("REPRO_FIG10_SCALE", "full")
-AXES = os.environ.get("REPRO_FIG10_AXES", "all")
 if SCALE == "smoke":
     SLAVE_COUNT = 640
     NODE_COUNT = 64
     MIN_SPEEDUP = 1.1
-    MIN_AGG_SPEEDUP = 0.95
-    MIN_RELAXED_SPEEDUP = 0.9
-    MIN_ENTRY_REDUCTION = 5.0
 else:
     SLAVE_COUNT = PAPER_SLAVE_COUNT
     NODE_COUNT = PAPER_NODE_COUNT
@@ -95,12 +70,9 @@ else:
     # throttling dominates the spread); the gate keeps noise margin and
     # the artifact records the measured ratio.
     MIN_SPEEDUP = 1.3
-    MIN_AGG_SPEEDUP = 1.05
-    MIN_RELAXED_SPEEDUP = 1.25
-    MIN_ENTRY_REDUCTION = 5.0
 
-#: Best-of-N timing for the batched-core family (their gaps are small
-#: relative to wall-clock noise); the per-event run stays single-shot.
+#: Best-of-N timing for the exact core; the per-event run stays
+#: single-shot.
 ROUNDS = 2
 
 SEED = 11
@@ -111,23 +83,14 @@ FIG10_CONFIG = DgcConfig(ttb=5.0, tta=12.0)
 #: O(BEAT_SLOTS) heap events per beat period in batched mode.
 BEAT_SLOTS = 16
 
-#: Which cores this axes selection measures.  The relaxed axis still
-#: needs every baseline its gates compare against: exact (staged-entry
-#: reduction), batched (wall clock) and per-event (outcomes).
+#: Core key -> ``batched_beats`` value and artifact entry name.
 CORES = {
-    "exact": ("exact", "per-entry", "per-event"),
-    "relaxed": ("relaxed", "exact", "per-entry", "per-event"),
-    "all": ("exact", "per-entry", "per-event", "relaxed"),
-}[AXES]
-#: Cores whose wall clock feeds a gate under this axes selection, and
-#: therefore get best-of-ROUNDS timing.
-TIMED = tuple(
-    core for core in CORES
-    if core != "per-event" and (AXES != "relaxed" or core != "exact")
-)
+    "exact": (True, "fig10_aggregated"),
+    "per-event": (False, "fig10_per_event"),
+}
 
 
-def _run_once(mode: str):
+def _run_once(batched: bool):
     """One fixed-seed paper-scale run under controlled allocation."""
     reset_id_counter()
     gc.collect()
@@ -143,36 +106,25 @@ def _run_once(mode: str):
                 include_slow=False,
                 include_no_dgc=False,
                 beat_slots=BEAT_SLOTS,
-                aggregation=mode,
+                batched_beats=batched,
                 collect_timeout=16_000.0,
                 keep_world=True,
             )
     finally:
         gc.enable()
     result = results.fast
-    world = result.world
-    stats = world.stats
-    outcome = (
-        stats.created,
-        stats.terminated_explicit,
-        len(stats.collected_by_id),
-        tuple(sorted(stats.collected_by_id)),
-        stats.dead_letters,
-        stats.safety_violations,
-    )
-    network = world.network
+    network = result.world.network
     counters = {
         "staged_entry_count": network.staged_entry_count,
         "pulse_event_count": network.pulse_event_count,
         "aggregated_message_count": network.aggregated_message_count,
-        "relaxed_flush_count": network.relaxed_flush_count,
     }
     result.world = None  # Drop the world before the next run allocates.
-    return watch.elapsed, result, counters, outcome
+    return watch.elapsed, result, counters
 
 
 def _signature(result):
-    """Everything that must be bit-identical across the exact cores."""
+    """Everything that must be bit-identical across the two cores."""
     return (
         result.collected_acyclic,
         result.collected_cyclic,
@@ -184,51 +136,69 @@ def _signature(result):
     )
 
 
-def _requires(*cores):
-    missing = [core for core in cores if core not in CORES]
-    if missing:
-        pytest.skip(
-            f"cores {missing} not measured under REPRO_FIG10_AXES={AXES!r}"
-        )
+def _gates(runs):
+    """Every gate of this benchmark as ``name -> {value, threshold,
+    passed}``, evaluated before anything is written."""
+    exact = runs["exact"][1]
+    per_event = runs["per-event"][1]
+    speedup = runs["per-event"][0] / runs["exact"][0]
+    event_ratio = per_event.events_fired / exact.events_fired
+    identical = _signature(exact) == _signature(per_event)
+    collected = all(
+        result.all_collected and result.ao_count == SLAVE_COUNT + 1
+        for _wall, result, _counters in runs.values()
+    )
+    return {
+        "outcomes_identical": {
+            "value": identical, "threshold": True, "passed": identical,
+        },
+        "all_collected": {
+            "value": collected, "threshold": True, "passed": collected,
+        },
+        "speedup_vs_per_event": {
+            "value": round(speedup, 3), "threshold": MIN_SPEEDUP,
+            "passed": speedup >= MIN_SPEEDUP,
+        },
+        "kernel_event_reduction": {
+            "value": round(event_ratio, 3), "threshold": 4.0,
+            "passed": (
+                event_ratio > 4.0
+                and exact.peak_pending_events < per_event.peak_pending_events
+            ),
+        },
+    }
 
 
 @pytest.fixture(scope="module")
 def measurements():
-    runs = {}
-    for mode in CORES:
-        runs[mode] = _run_once(mode)
-    for mode in TIMED:
-        for _ in range(ROUNDS - 1):
-            wall, *_rest = _run_once(mode)
-            if wall < runs[mode][0]:
-                runs[mode] = (wall, *_rest)
+    runs = {mode: _run_once(batched) for mode, (batched, _) in CORES.items()}
+    for _ in range(ROUNDS - 1):
+        run = _run_once(batched=True)
+        if run[0] < runs["exact"][0]:
+            runs["exact"] = run
+    gates = _gates(runs)
 
     report = PerfReport(
         meta={
             "scale": SCALE,
-            "axes": AXES,
             "seed": SEED,
             "slave_count": SLAVE_COUNT,
             "node_count": NODE_COUNT,
-            "ao_count": runs[CORES[0]][1].ao_count,
+            "ao_count": runs["exact"][1].ao_count,
             "ttb": FIG10_CONFIG.ttb,
             "tta": FIG10_CONFIG.tta,
             "beat_slots": BEAT_SLOTS,
             "active_duration_s": ACTIVE_DURATION,
+            "rounds": ROUNDS,
+            "gates": gates,
         },
         pr_label=PR_LABEL,
     )
-    names = {
-        "exact": "fig10_aggregated",
-        "per-entry": "fig10_batched",
-        "per-event": "fig10_per_event",
-        "relaxed": "fig10_relaxed",
-    }
-    for mode in CORES:
-        wall, result, counters, _outcome = runs[mode]
+    for mode, (_batched, name) in CORES.items():
+        wall, result, counters = runs[mode]
         report.add(
             PerfMeasurement(
-                name=names[mode],
+                name=name,
                 wall_time_s=wall,
                 events_fired=result.events_fired,
                 peak_pending_events=result.peak_pending_events,
@@ -238,46 +208,27 @@ def measurements():
                     "collected_cyclic": result.collected_cyclic,
                     "last_collected_s": result.last_collected_s,
                     "dgc_bandwidth_mb": round(result.dgc_bandwidth_mb, 6),
-                    "staged_entry_count": counters["staged_entry_count"],
-                    "pulse_event_count": counters["pulse_event_count"],
+                    **counters,
                 },
             )
         )
-    benchmarks = report.benchmarks
-    if "exact" in CORES and "per-entry" in CORES:
-        benchmarks["fig10_aggregated"].extra["speedup_vs_batched"] = round(
-            runs["per-entry"][0] / runs["exact"][0], 3
-        )
-    if "per-entry" in CORES and "per-event" in CORES:
-        benchmarks["fig10_batched"].extra["speedup_vs_per_event"] = round(
-            runs["per-event"][0] / runs["per-entry"][0], 3
-        )
-    if "relaxed" in CORES:
-        extra = benchmarks["fig10_relaxed"].extra
-        extra["relaxed_flush_count"] = runs["relaxed"][2]["relaxed_flush_count"]
-        if "per-entry" in CORES:
-            extra["speedup_vs_batched"] = round(
-                runs["per-entry"][0] / runs["relaxed"][0], 3
-            )
-        if "exact" in CORES:
-            extra["staged_entry_reduction_vs_exact"] = round(
-                runs["exact"][2]["staged_entry_count"]
-                / runs["relaxed"][2]["staged_entry_count"], 3
-            )
-    report.write(BENCH_PATH)
-    return runs
+    report.benchmarks["fig10_aggregated"].extra["speedup_vs_per_event"] = (
+        gates["speedup_vs_per_event"]["value"]
+    )
+    written = all(gate["passed"] for gate in gates.values())
+    if written:
+        report.write(BENCH_PATH)
+    return {**runs, "gates": gates, "written": written}
 
 
 def test_outcomes_are_bit_identical_across_exact_cores(measurements):
     """Exact delivery mechanics are pure scheduling/allocation changes:
-    the three exact cores on the same seed must produce the same
-    simulation outcome, sample for sample."""
-    _requires("exact", "per-entry", "per-event")
-    aggregated = _signature(measurements["exact"][1])
-    batched = _signature(measurements["per-entry"][1])
+    the exact core and the per-event reference on the same seed must
+    produce the same simulation outcome, sample for sample."""
+    exact = _signature(measurements["exact"][1])
     per_event = _signature(measurements["per-event"][1])
-    assert aggregated == batched
-    assert aggregated == per_event
+    assert exact == per_event
+    assert measurements["gates"]["outcomes_identical"]["passed"]
 
 
 def test_paper_scale_run_collects_everything(measurements):
@@ -287,23 +238,10 @@ def test_paper_scale_run_collects_everything(measurements):
         assert result.ao_count == SLAVE_COUNT + 1
 
 
-def test_aggregated_core_speedup(measurements):
-    _requires("exact", "per-entry")
-    if AXES == "relaxed":
-        pytest.skip("exact core is untimed on the relaxed axis")
-    agg_speedup = measurements["per-entry"][0] / measurements["exact"][0]
-    assert agg_speedup >= MIN_AGG_SPEEDUP, (
-        f"the aggregated columnar core is only {agg_speedup:.2f}x faster "
-        f"than the per-entry batched core (required: {MIN_AGG_SPEEDUP}x "
-        f"at scale={SCALE!r})"
-    )
-
-
 def test_batched_wall_clock_speedup(measurements):
-    _requires("per-entry", "per-event")
-    speedup = measurements["per-event"][0] / measurements["per-entry"][0]
+    speedup = measurements["per-event"][0] / measurements["exact"][0]
     assert speedup >= MIN_SPEEDUP, (
-        f"batched beat scheduling is only {speedup:.2f}x faster than "
+        f"the exact columnar core is only {speedup:.2f}x faster than "
         f"per-event scheduling (required: {MIN_SPEEDUP}x at "
         f"scale={SCALE!r})"
     )
@@ -311,72 +249,34 @@ def test_batched_wall_clock_speedup(measurements):
 
 def test_batched_run_does_less_heap_traffic(measurements):
     """The structural claim behind the speedup: O(buckets + pulses)
-    events instead of O(ticks + messages) — and the aggregated core
-    fires exactly the per-entry core's kernel events."""
-    _requires("exact", "per-entry", "per-event")
-    aggregated = measurements["exact"][1]
-    batched = measurements["per-entry"][1]
+    events instead of O(ticks + messages)."""
+    exact = measurements["exact"][1]
     per_event = measurements["per-event"][1]
-    assert batched.events_fired < per_event.events_fired / 4
-    assert batched.peak_pending_events < per_event.peak_pending_events
-    assert aggregated.events_fired == batched.events_fired
-
-
-def test_relaxed_outcomes_match_per_event(measurements):
-    """The relaxed tier's contract at paper scale: identical
-    reachability verdicts against the per-event baseline — same
-    activities created, the same set collected, zero dead letters, zero
-    safety violations."""
-    _requires("relaxed", "per-event")
-    assert measurements["relaxed"][3] == measurements["per-event"][3]
-    assert measurements["relaxed"][1].dead_letters == 0
-
-
-def test_relaxed_staged_entry_reduction(measurements):
-    """The structural gate: coalescing per (site pair, beat bucket)
-    instead of per adjacent run must collapse the staged-entry count
-    well past the exact-order ceiling."""
-    _requires("relaxed", "exact")
-    exact_entries = measurements["exact"][2]["staged_entry_count"]
-    relaxed_entries = measurements["relaxed"][2]["staged_entry_count"]
-    assert measurements["relaxed"][2]["relaxed_flush_count"] > 0
-    reduction = exact_entries / relaxed_entries
-    assert reduction >= MIN_ENTRY_REDUCTION, (
-        f"relaxed coalescing staged only {reduction:.2f}x fewer entries "
-        f"than the exact-order core ({relaxed_entries} vs {exact_entries}; "
-        f"required: {MIN_ENTRY_REDUCTION}x at scale={SCALE!r})"
-    )
-
-
-def test_relaxed_wall_clock_speedup(measurements):
-    _requires("relaxed", "per-entry")
-    speedup = measurements["per-entry"][0] / measurements["relaxed"][0]
-    assert speedup >= MIN_RELAXED_SPEEDUP, (
-        f"the relaxed coalescing core is only {speedup:.2f}x faster than "
-        f"the per-entry batched core (required: {MIN_RELAXED_SPEEDUP}x "
-        f"at scale={SCALE!r})"
-    )
+    assert exact.events_fired < per_event.events_fired / 4
+    assert exact.peak_pending_events < per_event.peak_pending_events
+    # Site-pair runs actually merged at this scale.
+    assert measurements["exact"][2]["aggregated_message_count"] > 0
 
 
 def test_bench_artifact_written(measurements):
     import json
 
-    assert BENCH_PATH.exists()
+    failed = [
+        name for name, gate in measurements["gates"].items()
+        if not gate["passed"]
+    ]
+    assert measurements["written"], f"artifact withheld: gates {failed} failed"
     payload = json.loads(BENCH_PATH.read_text())
     assert payload["schema"] == 1
     benchmarks = payload["benchmarks"]
-    if "exact" in CORES and AXES != "relaxed":
-        assert benchmarks["fig10_aggregated"]["speedup_vs_batched"] > 0
-    assert benchmarks["fig10_batched"]["speedup_vs_per_event"] > 0
-    if "relaxed" in CORES:
-        relaxed = benchmarks["fig10_relaxed"]
-        assert relaxed["speedup_vs_batched"] > 0
-        assert relaxed["staged_entry_reduction_vs_exact"] > 0
+    assert set(benchmarks) == {name for _batched, name in CORES.values()}
+    assert benchmarks["fig10_aggregated"]["speedup_vs_per_event"] > 0
     for entry in benchmarks.values():
         assert entry["wall_time_s"] > 0
         assert entry["events_per_second"] > 0
     meta = payload["meta"]
     assert meta["ao_count"] == SLAVE_COUNT + 1
+    assert all(gate["passed"] for gate in meta["gates"].values())
     # Provenance: every artifact names the code state that produced it.
     assert meta["pr_label"] == PR_LABEL
     assert meta["git_sha"]

@@ -4,42 +4,31 @@ The unified fabric's claim is that pulse batching pays off on
 request/reply-dominated traffic, not just DGC beats.  This benchmark
 drives the FT kernel skeleton — the all-to-all transpose, the most
 communication-heavy NAS pattern (paper Sec. 5.2) — on the same seed
-under three cores:
+under both delivery cores:
 
-* **aggregated** — the aggregated columnar core: pooled pulse records,
-  site-pair DGC runs (one aggregate entry and one batch-sink unwrap per
-  run) and the steady-state receive diet;
-* **batched** — the previous (PR-3) batched core: per-instant pulses
-  with one 6-tuple entry and one typed dispatch per message;
-* **per-event** — the pre-fabric baseline: one envelope and one kernel
-  event per message.
+* **aggregated** (``batched_beats=True``, the exact columnar core) —
+  pooled pulse records, site-pair DGC runs (one aggregate entry and one
+  batch-sink unwrap per run) and the steady-state receive diet;
+* **per-event** (``batched_beats=False``) — the reference: one envelope
+  and one kernel event per message.
 
-and asserts (a) bit-identical simulation outcomes across all three
-cores (delivery mechanics change heap traffic and allocations, never
-behaviour) and (b) wall-clock speedups of at least ``MIN_AGG_SPEEDUP``
-(aggregated over batched — NAS workers hold complete reference graphs,
-so every TTB broadcast fans out site-pair runs) and ``MIN_SPEEDUP``
-(batched over per-event).  Results land in ``BENCH_nas.json`` at the
-repo root (see PERFORMANCE.md).
+and asserts (a) bit-identical simulation outcomes across the two cores
+(delivery mechanics change heap traffic and allocations, never
+behaviour) and (b) a wall-clock speedup of at least ``MIN_SPEEDUP`` of
+the exact core over the per-event reference.  Every gate is evaluated
+inside the ``measurements`` fixture and ``BENCH_nas.json`` (repo root,
+see PERFORMANCE.md) is written only when all of them pass; the artifact
+records each gate's value and threshold in ``meta.gates``.
 
 App traffic dominates by construction: at the full scale the transpose
-moves ~200 MB of application payload against ~20 MB of DGC beats, so the
-speedups measured here are the fabric's, not the beat wheel's.
+moves ~400 MB of application payload against ~45 MB of DGC beats, so the
+speedup measured here is the fabric's, not the beat wheel's.
 
 Scale is controlled with ``REPRO_NAS_SCALE``:
 
-* ``full`` (default) — 128 workers on 64 nodes, gates at 1.3x
-  (batched) and 1.02x (aggregated over batched — measured 1.04-1.11x
-  best-of-rounds on this machine; the gap is a few hundred ms of a ~4.5 s
-  run, so the gate leaves noise margin and the artifact records the
-  measured ratio);
+* ``full`` (default) — 128 workers on 64 nodes, gate at 1.3x;
 * ``smoke`` — 24 workers on 12 nodes for CI smoke jobs (sub-second
-  runs), gates relaxed to 0.95x and 1.05x.
-
-``REPRO_NAS_AGGREGATE=0`` drops the aggregated run and its gate (the
-CI matrix's aggregation-off axis: it produces a two-core artifact whose
-``nas_ft_batched`` numbers are directly comparable to the aggregated
-axis run).
+  runs), gate at 1.05x.
 """
 
 from __future__ import annotations
@@ -61,19 +50,16 @@ BENCH_PATH = REPO_ROOT / "BENCH_nas.json"
 PR_LABEL = "PR4"
 
 SCALE = os.environ.get("REPRO_NAS_SCALE", "full")
-AGGREGATE_AXIS = os.environ.get("REPRO_NAS_AGGREGATE", "1") != "0"
 if SCALE == "smoke":
     AO_COUNT = 24
     NODE_COUNT = 12
     ITERATIONS = 10
     MIN_SPEEDUP = 1.05
-    MIN_AGG_SPEEDUP = 0.95
 else:
     AO_COUNT = 128
     NODE_COUNT = 64
     ITERATIONS = 20
     MIN_SPEEDUP = 1.3
-    MIN_AGG_SPEEDUP = 1.02
 
 SEED = 7
 PAYLOAD_BYTES = 1_200
@@ -81,7 +67,7 @@ PAYLOAD_BYTES = 1_200
 NAS_CONFIG = DgcConfig(ttb=30.0, tta=61.0)
 
 
-def _run_once(batched: bool, aggregated: bool):
+def _run_once(batched: bool):
     """One fixed-seed app-heavy run under controlled allocation."""
     reset_id_counter()
     spec = kernel_spec(
@@ -100,7 +86,6 @@ def _run_once(batched: bool, aggregated: bool):
                 topology=uniform_topology(NODE_COUNT),
                 seed=SEED,
                 batched_beats=batched,
-                aggregate_site_pairs=aggregated,
             )
     finally:
         gc.enable()
@@ -108,7 +93,7 @@ def _run_once(batched: bool, aggregated: bool):
 
 
 def _signature(result):
-    """Everything that must be bit-identical across the cores."""
+    """Everything that must be bit-identical across the two cores."""
     return (
         result.app_time_s,
         result.dgc_time_s,
@@ -122,30 +107,52 @@ def _signature(result):
     )
 
 
-#: Best-of-N timing for the aggregated/batched pair (their gap is small
-#: relative to wall-clock noise); the per-event run stays single-shot.
+#: Best-of-N timing for the exact core (the per-event run stays
+#: single-shot).
 ROUNDS = 3
+
+
+def _gates(runs):
+    """Every gate of this benchmark as ``name -> {value, threshold,
+    passed}``, evaluated before anything is written."""
+    exact = runs["aggregated"][1]
+    per_event = runs["per_event"][1]
+    speedup = runs["per_event"][0] / runs["aggregated"][0]
+    event_ratio = per_event.events_fired / exact.events_fired
+    identical = _signature(exact) == _signature(per_event)
+    app_heavy = all(
+        result.collected_acyclic + result.collected_cyclic == AO_COUNT
+        and result.dead_letters == 0
+        and result.app_bandwidth_mb > 3 * result.dgc_bandwidth_mb
+        for _wall, result in runs.values()
+    )
+    return {
+        "outcomes_identical": {
+            "value": identical, "threshold": True, "passed": identical,
+        },
+        "app_heavy_and_collected": {
+            "value": app_heavy, "threshold": True, "passed": app_heavy,
+        },
+        "speedup_vs_per_event": {
+            "value": round(speedup, 3), "threshold": MIN_SPEEDUP,
+            "passed": speedup >= MIN_SPEEDUP,
+        },
+        "kernel_event_reduction": {
+            "value": round(event_ratio, 3), "threshold": 4.0,
+            "passed": event_ratio > 4.0,
+        },
+    }
 
 
 @pytest.fixture(scope="module")
 def measurements():
-    runs = {}
-    if AGGREGATE_AXIS:
-        runs["aggregated"] = _run_once(batched=True, aggregated=True)
-    runs["batched"] = _run_once(batched=True, aggregated=False)
+    runs = {"aggregated": _run_once(batched=True)}
     for _ in range(ROUNDS - 1):
-        if AGGREGATE_AXIS:
-            wall, __ = _run_once(batched=True, aggregated=True)
-            if wall < runs["aggregated"][0]:
-                runs["aggregated"] = (wall, runs["aggregated"][1])
-        wall, __ = _run_once(batched=True, aggregated=False)
-        if wall < runs["batched"][0]:
-            runs["batched"] = (wall, runs["batched"][1])
-    runs["per_event"] = _run_once(batched=False, aggregated=False)
-    speedup = runs["per_event"][0] / runs["batched"][0]
-    agg_speedup = (
-        runs["batched"][0] / runs["aggregated"][0] if AGGREGATE_AXIS else None
-    )
+        run = _run_once(batched=True)
+        if run[0] < runs["aggregated"][0]:
+            runs["aggregated"] = run
+    runs["per_event"] = _run_once(batched=False)
+    gates = _gates(runs)
 
     report = PerfReport(
         meta={
@@ -158,17 +165,15 @@ def measurements():
             "payload_bytes": PAYLOAD_BYTES,
             "ttb": NAS_CONFIG.ttb,
             "tta": NAS_CONFIG.tta,
-            "aggregate_axis": AGGREGATE_AXIS,
+            "rounds": ROUNDS,
+            "gates": gates,
         },
         pr_label=PR_LABEL,
     )
     for key, bench_name in (
         ("aggregated", "nas_ft_aggregated"),
-        ("batched", "nas_ft_batched"),
         ("per_event", "nas_ft_per_event"),
     ):
-        if key not in runs:
-            continue
         wall, result = runs[key]
         report.add(
             PerfMeasurement(
@@ -185,29 +190,23 @@ def measurements():
                 },
             )
         )
-    if agg_speedup is not None:
-        report.benchmarks["nas_ft_aggregated"].extra["speedup_vs_batched"] = (
-            round(agg_speedup, 3)
-        )
-    report.benchmarks["nas_ft_batched"].extra["speedup_vs_per_event"] = round(
-        speedup, 3
+    report.benchmarks["nas_ft_aggregated"].extra["speedup_vs_per_event"] = (
+        gates["speedup_vs_per_event"]["value"]
     )
-    report.write(BENCH_PATH)
-    return {**runs, "speedup": speedup, "agg_speedup": agg_speedup}
+    written = all(gate["passed"] for gate in gates.values())
+    if written:
+        report.write(BENCH_PATH)
+    return {**runs, "gates": gates, "written": written}
 
 
 def test_outcomes_are_bit_identical_across_cores(measurements):
-    batched = _signature(measurements["batched"][1])
+    exact = _signature(measurements["aggregated"][1])
     per_event = _signature(measurements["per_event"][1])
-    assert batched == per_event
-    if AGGREGATE_AXIS:
-        assert _signature(measurements["aggregated"][1]) == batched
+    assert exact == per_event
 
 
 def test_run_is_app_heavy_and_collects_everything(measurements):
-    for key in ("aggregated", "batched", "per_event"):
-        if key not in measurements:
-            continue
+    for key in ("aggregated", "per_event"):
         __, result = measurements[key]
         assert result.collected_acyclic + result.collected_cyclic == AO_COUNT
         assert result.dead_letters == 0
@@ -215,20 +214,10 @@ def test_run_is_app_heavy_and_collects_everything(measurements):
         assert result.app_bandwidth_mb > 3 * result.dgc_bandwidth_mb
 
 
-@pytest.mark.skipif(not AGGREGATE_AXIS, reason="REPRO_NAS_AGGREGATE=0")
-def test_aggregated_core_speedup(measurements):
-    agg_speedup = measurements["agg_speedup"]
-    assert agg_speedup >= MIN_AGG_SPEEDUP, (
-        f"the aggregated columnar core is only {agg_speedup:.2f}x faster "
-        f"than the per-entry batched core (required: {MIN_AGG_SPEEDUP}x "
-        f"at scale={SCALE!r})"
-    )
-
-
 def test_batched_wall_clock_speedup(measurements):
-    speedup = measurements["speedup"]
+    speedup = measurements["per_event"][0] / measurements["aggregated"][0]
     assert speedup >= MIN_SPEEDUP, (
-        f"unified-fabric batching is only {speedup:.2f}x faster than "
+        f"the exact columnar core is only {speedup:.2f}x faster than "
         f"per-envelope delivery (required: {MIN_SPEEDUP}x at "
         f"scale={SCALE!r})"
     )
@@ -237,29 +226,30 @@ def test_batched_wall_clock_speedup(measurements):
 def test_batched_run_does_materially_fewer_kernel_events(measurements):
     """The structural claim behind the speedup: O(distinct delivery
     instants) events instead of O(messages)."""
-    __, batched = measurements["batched"]
+    __, exact = measurements["aggregated"]
     __, per_event = measurements["per_event"]
-    assert batched.events_fired < per_event.events_fired / 4
-    if AGGREGATE_AXIS:
-        __, aggregated = measurements["aggregated"]
-        assert aggregated.events_fired == batched.events_fired
+    assert exact.events_fired < per_event.events_fired / 4
 
 
 def test_bench_artifact_written(measurements):
     import json
 
-    assert BENCH_PATH.exists()
+    failed = [
+        name for name, gate in measurements["gates"].items()
+        if not gate["passed"]
+    ]
+    assert measurements["written"], f"artifact withheld: gates {failed} failed"
     payload = json.loads(BENCH_PATH.read_text())
     assert payload["schema"] == 1
     benchmarks = payload["benchmarks"]
-    assert benchmarks["nas_ft_batched"]["speedup_vs_per_event"] > 0
-    if AGGREGATE_AXIS:
-        assert benchmarks["nas_ft_aggregated"]["speedup_vs_batched"] > 0
+    assert set(benchmarks) == {"nas_ft_aggregated", "nas_ft_per_event"}
+    assert benchmarks["nas_ft_aggregated"]["speedup_vs_per_event"] > 0
     for entry in benchmarks.values():
         assert entry["wall_time_s"] > 0
         assert entry["events_per_second"] > 0
     meta = payload["meta"]
     assert meta["ao_count"] == AO_COUNT
+    assert all(gate["passed"] for gate in meta["gates"].values())
     # Provenance: every artifact names the code state that produced it.
     assert meta["pr_label"] == PR_LABEL
     assert meta["git_sha"]

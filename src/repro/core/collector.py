@@ -61,13 +61,13 @@ class DgcCollector:
         self._consensus_propagation = config.consensus_propagation
         self._bfs_parent_election = config.bfs_parent_election
         #: The steady-state receive diet (doomed-response interning,
-        #: field-identical touch-write skip) is part of the aggregated
-        #: columnar core; with ``aggregate_site_pairs`` off the receive
-        #: path stays the previous core's, so the perf A/B measures the
-        #: whole package against it.  The diet is observably neutral —
-        #: outcomes are bit-identical either way.
-        self._receive_diet = config.aggregate_site_pairs
-        self.state.referencers.touch_skip = config.aggregate_site_pairs
+        #: field-identical touch-write skip) is part of the columnar
+        #: core; the per-event reference (``batched_beats`` off) keeps
+        #: the undieted receive path, so the equivalence suites prove
+        #: the diet observably neutral — outcomes are bit-identical
+        #: either way.
+        self._receive_diet = config.batched_beats
+        self.state.referencers.touch_skip = config.batched_beats
         # Direct response lane (diet only): responses go straight into
         # the fabric's fused DGC send unless the node has a response run
         # open (an aggregate unwrap in progress — those must collect).
@@ -276,11 +276,10 @@ class DgcCollector:
         by_flag: dict = {}
         # The fan-out is grouped by destination node (first-appearance
         # order, deterministic): records sharing a site become one
-        # site-pair run — one fabric call, and in aggregated-columnar
-        # mode one pulse entry — instead of one send per record.  The
-        # grouped order is the send order under *every* delivery mode
-        # (per-event, per-entry batched, aggregated), so the modes stay
-        # bit-identical with each other.  Sends happen after the flag
+        # site-pair run — one fabric call, and in the columnar core one
+        # pulse entry — instead of one send per record.  The grouped
+        # order is the send order under both delivery cores (per-event
+        # and columnar), so the two stay bit-identical.  Sends happen after the flag
         # loop; nothing in the loop observes them (delivery is always
         # deferred to a kernel event, even intra-node).
         by_node: dict = {}

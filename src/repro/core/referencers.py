@@ -55,7 +55,7 @@ class ReferencerTable:
     def __init__(self) -> None:
         self._records: Dict[ActivityId, ReferencerRecord] = {}
         #: Steady-state receive diet (set by the collector when the
-        #: aggregated columnar core is active): skip the field writes and
+        #: columnar core is active, ``batched_beats``): skip the field writes and
         #: agreement-count adjustment for messages that are
         #: field-identical to the referencer's current record.
         #: Observably neutral — only the arrival time matters then.

@@ -36,6 +36,15 @@ def _beat_slots(value: str):
         ) from None
 
 
+def _batched_beats(args: argparse.Namespace) -> Optional[bool]:
+    """``--aggregation`` as the ``batched_beats`` override: ``False``
+    selects the per-event reference core, ``None`` keeps the config's
+    default (the exact columnar core)."""
+    if getattr(args, "aggregation", None) == "per-event":
+        return False
+    return None
+
+
 def _add_nas_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--ao-count", type=int, default=None,
@@ -85,24 +94,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     fig10.add_argument(
         "--aggregation",
-        choices=["per-event", "per-entry", "exact", "relaxed"],
+        choices=["per-event", "exact"],
         default=None,
-        help="delivery core: per-event baseline, per-entry batched "
-        "pulse, exact-order site-pair aggregation (the default), or "
-        "the relaxed per-(site pair, beat bucket) coalescing tier",
-    )
-    fig10.add_argument(
-        "--per-event-beats", action="store_true",
-        help="deprecated alias for --aggregation per-event (disable "
-        "the batched beat scheduler: one kernel event per tick and "
-        "per DGC message; the perf baseline)",
-    )
-    fig10.add_argument(
-        "--per-entry-pulse", action="store_true",
-        help="deprecated alias for --aggregation per-entry (disable "
-        "the columnar pulse and site-pair DGC aggregation: one "
-        "6-tuple pulse entry per message; the previous batched core, "
-        "kept as the A/B baseline)",
+        help="delivery core: the per-event reference (one kernel event "
+        "per tick and per message) or the exact columnar core (the "
+        "default)",
     )
 
     run_cmd = subparsers.add_parser(
@@ -153,28 +149,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     run_cmd.add_argument(
         "--aggregation",
-        choices=["per-event", "per-entry", "exact", "relaxed"],
+        choices=["per-event", "exact"],
         default=None,
-        help="delivery core: per-event baseline, per-entry batched "
-        "pulse, exact-order site-pair aggregation (the default), or "
-        "the relaxed per-(site pair, beat bucket) coalescing tier",
-    )
-    run_cmd.add_argument(
-        "--per-event-beats", action="store_true",
-        help="deprecated alias for --aggregation per-event (disable "
-        "pulse batching: one kernel event per message and per "
-        "heartbeat tick; the perf baseline)",
-    )
-    run_cmd.add_argument(
-        "--per-entry-pulse", action="store_true",
-        help="deprecated alias for --aggregation per-entry (disable "
-        "the columnar pulse and site-pair DGC aggregation; the "
-        "previous batched core, kept as the A/B baseline)",
-    )
-    run_cmd.add_argument(
-        "--relaxed-flush", type=float, default=None, metavar="SECONDS",
-        help="flush period of the relaxed tier's coalescing buckets "
-        "(default: TTB/4; only meaningful with --aggregation relaxed)",
+        help="delivery core: the per-event reference (one kernel event "
+        "per tick and per message) or the exact columnar core (the "
+        "default)",
     )
     # NAS knobs.
     run_cmd.add_argument(
@@ -332,13 +311,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             seed=args.seed,
             include_slow=not getattr(args, "skip_slow", False),
             beat_slots=getattr(args, "beat_slots", None),
-            batched_beats=(
-                False if getattr(args, "per_event_beats", False) else None
-            ),
-            aggregate_site_pairs=(
-                False if getattr(args, "per_entry_pulse", False) else None
-            ),
-            aggregation=getattr(args, "aggregation", None),
+            batched_beats=_batched_beats(args),
         )
         print(fig10_report(results))
 
@@ -370,9 +343,7 @@ def _run_workload(args: argparse.Namespace) -> int:
     from repro.harness.report import render_table
     from repro.net.topology import uniform_topology
 
-    batched = False if args.per_event_beats else None
-    aggregated = False if args.per_entry_pulse else None
-    aggregation = args.aggregation
+    batched = _batched_beats(args)
 
     problem = _check_naming_knobs(args)
     if problem is not None:
@@ -390,8 +361,6 @@ def _run_workload(args: argparse.Namespace) -> int:
             overrides["ttb"] = args.ttb
         if args.tta is not None:
             overrides["tta"] = args.tta
-        if args.relaxed_flush is not None:
-            overrides["relaxed_flush_s"] = args.relaxed_flush
         return base.with_overrides(**overrides) if overrides else base
 
     started = time.perf_counter()
@@ -409,8 +378,6 @@ def _run_workload(args: argparse.Namespace) -> int:
             seed=args.seed,
             beat_slots=args.beat_slots,
             batched_beats=batched,
-            aggregate_site_pairs=aggregated,
-            aggregation=aggregation,
             keep_world=True,
         )
         rows = [
@@ -471,8 +438,6 @@ def _run_workload(args: argparse.Namespace) -> int:
             seed=args.seed,
             beat_slots=args.beat_slots,
             batched_beats=batched,
-            aggregate_site_pairs=aggregated,
-            aggregation=aggregation,
             keep_world=True,
         )
         rows = [
@@ -525,8 +490,6 @@ def _run_workload(args: argparse.Namespace) -> int:
             seed=args.seed,
             beat_slots=args.beat_slots,
             batched_beats=batched,
-            aggregate_site_pairs=aggregated,
-            aggregation=aggregation,
             keep_world=True,
         )
         rows = [
@@ -607,11 +570,11 @@ def _run_sharded(args: argparse.Namespace) -> int:
             "--live is incompatible with --no-dgc: collection drives the "
             "sharded run protocol's stop condition"
         )
-    if args.per_event_beats or args.aggregation == "per-event":
+    if args.aggregation == "per-event":
         return reject(
             "--live requires the batched pulse core: drop "
-            "--per-event-beats / --aggregation per-event (the per-event "
-            "envelope path cannot cross a shard boundary)"
+            "--aggregation per-event (the per-event envelope path "
+            "cannot cross a shard boundary)"
         )
     if args.nas_barrier:
         return reject(
@@ -656,14 +619,8 @@ def _run_sharded(args: argparse.Namespace) -> int:
         overrides["ttb"] = args.ttb
     if args.tta is not None:
         overrides["tta"] = args.tta
-    if args.relaxed_flush is not None:
-        overrides["relaxed_flush_s"] = args.relaxed_flush
     if args.beat_slots is not None:
         overrides["beat_slots"] = args.beat_slots
-    if args.aggregation is not None:
-        overrides["aggregation"] = args.aggregation
-    elif args.per_entry_pulse:
-        overrides["aggregate_site_pairs"] = False
     dgc = base.with_overrides(**overrides) if overrides else base
 
     registry = None

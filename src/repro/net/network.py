@@ -28,58 +28,27 @@ The fabric carries two message forms over one staged transport:
   batching disabled), so fixed-seed runs are bit-identical between the
   two delivery modes.
 
-Pulse storage comes in two selectable shapes:
-
-* **aggregated columnar** (``aggregate_site_pairs`` on, the default
-  batched core) — per-instant pulse records pooled and recycled across
-  instants through a free list, so steady-state staging allocates
-  O(instants), not O(messages).  DGC traffic rides the fused
-  :meth:`send_dgc_single`/:meth:`send_dgc_run` lanes: messages staged
-  back-to-back on the same channel coalesce into **one** site-pair
-  aggregate entry carrying flat parallel ``(target_id, message)``
-  columns, which the destination unwraps in one batch-sink call —
-  per-message kind dispatch and route re-probing disappear for the whole
-  run.  Runs only ever merge when *adjacent in stage order*, so the
-  global delivery sequence — and with it per-channel FIFO and every
-  fixed-seed outcome — is preserved by construction.  (A
-  struct-of-arrays record for *plain* entries was measured slower than
-  the tuple layout — five list appends beat one tuple only when entries
-  merge — so the columnar form lives where it pays: the aggregate runs'
-  flat columns and the pooled records; see PERFORMANCE.md.)
-* **per-entry** (``aggregate_site_pairs`` off) — the previous batched
-  core: one freshly-allocated list of 6-tuples per instant, one entry
-  and one typed dispatch per message.  Kept selectable as the A/B
-  baseline the aggregated columnar core is benchmarked against.
-
-On top of the aggregated columnar shape sits the **relaxed** tier
-(``relaxed_aggregation`` on, selected by
-``DgcConfig.aggregation="relaxed"``): instead of staging each DGC send
-at its exact delivery instant, cross-node DGC traffic accumulates per
-``(channel, kind)`` stream — :func:`repro.net.reorder.stream_key`'s
-FIFO coordinate — and is flushed once per flush period by a beat-wheel
-bucket.  The flush reserves FIFO positions and accounts per stream,
-then merges every stream bound for the same ``(delivery instant,
-destination, kind)`` into **one** columnar aggregate entry — one entry
-per destination *site* per bucket, not per site pair — and intra-node
-DGC coalesces per ``(site, kind)`` and is handed straight to the
-destination's sinks at the flush instant, never touching the pulse.
-Deliveries are thereby *deferred* (by less than one flush period, to
-the next absolute grid boundary) but never reordered within a stream
-and never moved earlier, which is exactly the protocol-safe class
-:mod:`repro.net.reorder` encodes: per-stream FIFO plus delivery-clock
-monotonicity is all the DGC's correctness argument uses (paper
-Sec. 3.2).  Exact-order tracer equivalence is traded away — collection
-*instants* shift within the deferral bound, and with them run length
-and traffic totals — in exchange for an order-of-magnitude fewer
-staged entries at Fig. 10 scale; collection outcomes and safety remain
-identical to the per-event core (the relaxed equivalence tier, see
-PERFORMANCE.md).
+Pulse-batched traffic is staged in the **columnar** core: per-instant
+pulse records pooled and recycled across instants through a free list,
+so steady-state staging allocates O(instants), not O(messages).  DGC
+traffic rides the fused :meth:`send_dgc_single`/:meth:`send_dgc_run`
+lanes: messages staged back-to-back on the same channel coalesce into
+**one** site-pair aggregate entry carrying flat parallel ``(target_id,
+message)`` columns, which the destination unwraps in one batch-sink
+call — per-message kind dispatch and route re-probing disappear for the
+whole run.  Runs only ever merge when *adjacent in stage order*, so the
+global delivery sequence — and with it per-channel FIFO and every
+fixed-seed outcome — is preserved by construction: the columnar core is
+bit-identical to the per-event baseline.  (A struct-of-arrays record for
+*plain* entries was measured slower than the tuple layout — five list
+appends beat one tuple only when entries merge — so the columnar form
+lives where it pays: the aggregate runs' flat columns and the pooled
+records; see PERFORMANCE.md.)
 """
 # repro: hot-path — every class slotted, no closure allocation in loops (HOT rules)
 
 from __future__ import annotations
 
-from math import floor
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import NetworkError, UnknownDestinationError
@@ -136,7 +105,7 @@ class _IngressChannel:
 class Network:
     """Connects registered node sinks through FIFO channels.
 
-    Pulse entry layout (shared by both batched cores) is
+    Pulse entry layout is
     ``(channel, sink, dest, kind, item, payload)``:
 
     * envelope entries — ``kind`` is ``None``, ``item`` the envelope;
@@ -145,7 +114,7 @@ class Network:
     * typed entries — ``kind`` is a traffic-kind constant; local ones
       carry the resolved typed sink, cross-node ones the destination
       node name in ``dest``,
-    * aggregate entries (aggregated core only) — ``kind`` is an
+    * aggregate entries — ``kind`` is an
       :data:`~repro.net.message.AGGREGATE_KINDS` marker and
       ``item``/``payload`` are flat parallel ``(target_id, message)``
       column lists covering an adjacent same-channel run of DGC traffic.
@@ -169,7 +138,7 @@ class Network:
         #: the envelope-free receive path of the unified fabric, one sink
         #: per node for *all* traffic kinds.
         self._typed_sinks: Dict[str, Callable[[str, Any, Any], None]] = {}
-        #: Per-node DGC receive lanes of the aggregated core, keyed by
+        #: Per-node DGC receive lanes of the columnar core, keyed by
         #: destination: single-message handlers ``(target, message)``
         #: (skipping the typed sink's kind dispatch) and aggregate
         #: unwrappers ``(targets, messages)`` looping the flat columns
@@ -191,40 +160,12 @@ class Network:
         #: is preserved by construction and fixed-seed outcomes are
         #: bit-identical with per-event delivery.
         self.pulse_batching = False
-        #: The aggregated columnar core (see module docstring).  Off,
-        #: the per-entry batched pulse of the previous core is used —
-        #: the A/B baseline.  Only meaningful while ``pulse_batching``
-        #: is on.
-        self.aggregate_site_pairs = False
-        #: The relaxed coalescing tier (see module docstring): DGC sends
-        #: accumulate per ``(channel, kind)`` stream and flush once per
-        #: :attr:`_relaxed_flush_s` on the beat wheel's absolute grid.
-        #: Only meaningful on top of the aggregated columnar core;
-        #: enable through :meth:`configure_relaxed`.
-        self.relaxed_aggregation = False
-        self._relaxed_flush_s: Optional[float] = None
-        #: ``(channel, kind) -> [dest, size_bytes, targets, messages]``
-        #: accumulator, insertion-ordered (deterministic flush order).
-        self._relaxed_acc: Dict[tuple, list] = {}
-        #: ``(dest, kind) -> [targets, messages]`` accumulator for
-        #: intra-node DGC (no channel, no wire): delivered straight to
-        #: the destination's sinks at the flush instant.
-        self._relaxed_local_acc: Dict[tuple, list] = {}
-        #: The live flush beat (a :class:`repro.sim.beats.BeatHandle`);
-        #: armed lazily on first accumulation, stopped again by a flush
-        #: that finds the accumulator drained — idle worlds schedule
-        #: nothing, mirroring the registry's lazy lease sweep.
-        self._relaxed_beat = None
-        #: Aggregate entries emitted by relaxed flushes (the coalescing
-        #: denominator: constituents / flushed entries is the tier's
-        #: merge ratio).
-        self.relaxed_flush_count = 0
         self._pulses: Dict[float, list] = {}
-        #: Free list of recycled pulse records (aggregated core): the
+        #: Free list of recycled pulse records: the
         #: per-instant entry lists are cleared and reused, keeping their
         #: grown capacity, so steady-state staging allocates nothing.
         self._pulse_pool: List[list] = []
-        #: One-slot staging memo (aggregated core): consecutive sends
+        #: One-slot staging memo: consecutive sends
         #: overwhelmingly share a delivery instant (a fan-out's channels
         #: have equal latencies), so the float-keyed dict probe is
         #: skipped when the instant repeats.  Invalidated when the
@@ -246,8 +187,8 @@ class Network:
         #: ``sent_count`` sums this is the fabric's batching ratio.
         self.pulse_event_count = 0
         #: Pulse entries actually delivered (counted per pulse at fire
-        #: time): the staged-entry axis the relaxed tier is gated on —
-        #: entries, not messages, are what staging and dispatch pay for.
+        #: time) — entries, not messages, are what staging and dispatch
+        #: pay for.
         self.staged_entry_count = 0
         #: Test hook: when set, ``permuter(delivery_time, entries)`` is
         #: applied to every pulse's entry list before delivery.  The
@@ -311,7 +252,7 @@ class Network:
         traffic of every kind; nodes that do not provide one fall back to
         the per-envelope path even when batching is enabled.
         ``dgc_sinks`` maps a DGC kind to its ``(single, batch)`` handler
-        pair — the aggregated core's direct receive lanes; without them
+        pair — the columnar core's direct receive lanes; without them
         DGC traffic for this node rides the typed sink like every other
         kind.
         """
@@ -331,18 +272,6 @@ class Network:
     def max_comm(self) -> float:
         """Upper bound on one-way communication time (MaxComm, Sec. 3.1)."""
         return self._topology.max_one_way_latency()
-
-    def configure_relaxed(self, flush_period: float) -> None:
-        """Enable the relaxed coalescing tier with the given flush
-        period (seconds).  Requires the aggregated columnar core
-        (``pulse_batching`` + ``aggregate_site_pairs``); the flush beat
-        itself is armed lazily on first DGC accumulation."""
-        if flush_period <= 0:
-            raise ValueError(
-                f"relaxed flush period must be positive, got {flush_period}"
-            )
-        self.relaxed_aggregation = True
-        self._relaxed_flush_s = flush_period
 
     def configure_shard_egress(self, local_nodes) -> None:
         """Mark every topology node outside ``local_nodes`` as living on
@@ -505,8 +434,8 @@ class Network:
         item: Any,
         payload: Any,
     ) -> None:
-        """Fused DGC send lane of the aggregated columnar core: one
-        frame from the node to the staged pulse entry.
+        """Fused DGC send lane of the columnar core: one frame from the
+        node to the staged pulse entry.
 
         Equivalent to :meth:`send_typed` — same route/partition/fallback
         semantics, same accounting, same FIFO reservation — plus the
@@ -516,7 +445,7 @@ class Network:
         adding an entry.  Merging only ever extends the *tail*, so the
         global delivery sequence equals per-message stage order exactly.
         """
-        if not (self.pulse_batching and self.aggregate_site_pairs):
+        if not self.pulse_batching:
             self.send_typed(source, dest, kind, size_bytes, item, payload)
             return
         by_dest = self._routes.get(source)
@@ -528,48 +457,11 @@ class Network:
             fault_plan.dropped_count += 1
             return
         channel = route[1]
-        relaxed = self.relaxed_aggregation
-        if (
-            relaxed
-            and channel is None
-            and dest in self._dgc_message_batch_sinks
-            and dest in self._dgc_response_batch_sinks
-        ):
-            # Relaxed tier, intra-node: coalesce per (site, kind) and
-            # deliver the whole bucket straight to the DGC sinks at the
-            # flush instant — no wire, no accounting, no pulse entry.
-            acc = self._relaxed_local_acc
-            box = acc.get((dest, kind))
-            if box is None:
-                acc[(dest, kind)] = [[item], [payload]]
-                if self._relaxed_beat is None:
-                    self._arm_relaxed_flush()
-            else:
-                box[0].append(item)
-                box[1].append(payload)
-                self.aggregated_message_count += 1
-            return
         if not route[2] or (
             channel._delay_rules
             and self.fault_plan.may_delay(source, dest, kind)
         ):
             self.send_typed(source, dest, kind, size_bytes, item, payload)
-            return
-        if relaxed:
-            # Relaxed tier: join the per-(channel, kind) stream
-            # accumulator; FIFO reservation and accounting happen at
-            # flush time (totals are bit-identical — same messages,
-            # same sizes, same counts).
-            acc = self._relaxed_acc
-            box = acc.get((channel, kind))
-            if box is None:
-                acc[(channel, kind)] = [dest, size_bytes, [item], [payload]]
-                if self._relaxed_beat is None:
-                    self._arm_relaxed_flush()
-            else:
-                box[2].append(item)
-                box[3].append(payload)
-                self.aggregated_message_count += 1
             return
         # Inlined FifoChannel.stage_send_n(1): clamp + counter without a
         # callee frame — this lane runs once per DGC message at scale.
@@ -663,7 +555,7 @@ class Network:
         run occupies consecutive stage positions, so outcomes are
         bit-identical to sending each message through
         :meth:`send_typed` — which is exactly what the fallback does
-        whenever aggregation or batching is off, the channel has
+        whenever batching is off, the channel has
         fault-plan delay rules, or the destination lacks a batch sink.
         """
         count = len(targets)
@@ -674,7 +566,7 @@ class Network:
                 source, dest, kind, size_bytes, targets[0], messages[0]
             )
             return
-        if not (self.pulse_batching and self.aggregate_site_pairs):
+        if not self.pulse_batching:
             for index in range(count):
                 self.send_typed(
                     source, dest, kind, size_bytes,
@@ -706,25 +598,6 @@ class Network:
             self.egress_message_count += count
             self.aggregated_message_count += count - 1
             return
-        relaxed = self.relaxed_aggregation
-        if (
-            relaxed
-            and channel is None
-            and dest in self._dgc_message_batch_sinks
-            and dest in self._dgc_response_batch_sinks
-        ):
-            acc = self._relaxed_local_acc
-            box = acc.get((dest, kind))
-            if box is None:
-                acc[(dest, kind)] = [targets, messages]
-                if self._relaxed_beat is None:
-                    self._arm_relaxed_flush()
-                self.aggregated_message_count += count - 1
-            else:
-                box[0].extend(targets)
-                box[1].extend(messages)
-                self.aggregated_message_count += count
-            return
         if not route[2] or (
             channel._delay_rules
             and self.fault_plan.may_delay(source, dest, kind)
@@ -736,19 +609,6 @@ class Network:
                     source, dest, kind, size_bytes,
                     targets[index], messages[index],
                 )
-            return
-        if relaxed:
-            acc = self._relaxed_acc
-            box = acc.get((channel, kind))
-            if box is None:
-                acc[(channel, kind)] = [dest, size_bytes, targets, messages]
-                if self._relaxed_beat is None:
-                    self._arm_relaxed_flush()
-                self.aggregated_message_count += count - 1
-            else:
-                box[2].extend(targets)
-                box[3].extend(messages)
-                self.aggregated_message_count += count
             return
         delivery_time = channel.stage_send_n(count)
         self.accountant.observe_run(kind, size_bytes, channel.pair, count)
@@ -875,230 +735,34 @@ class Network:
 
     def _stage(self, delivery_time: float, entry: tuple) -> None:
         """Append one delivery to the pulse for ``delivery_time``,
-        creating its (single) kernel event on first use.
-
-        The aggregated core reuses recycled entry lists from the free
-        list and fires through the columnar loop; the per-entry baseline
-        allocates a fresh list per instant, exactly as the previous core
-        did.
-        """
+        creating its (single) kernel event on first use from a recycled
+        pulse record."""
         pulses = self._pulses
         batch = pulses.get(delivery_time)
         if batch is None:
-            if self.aggregate_site_pairs:
-                pool = self._pulse_pool
-                batch = pool.pop() if pool else []
-                fire = self._fire_pulse_columnar
-            else:
-                batch = []
-                fire = self._fire_pulse
+            pool = self._pulse_pool
+            batch = pool.pop() if pool else []
             pulses[delivery_time] = batch
-            self._kernel.schedule_fire_at(delivery_time, fire, (delivery_time,))
+            self._kernel.schedule_fire_at(
+                delivery_time, self._fire_pulse_columnar, (delivery_time,)
+            )
             self.pulse_event_count += 1
         batch.append(entry)
 
-    def _arm_relaxed_flush(self) -> None:
-        """Arm the relaxed tier's flush beat, aligned to the *absolute*
-        ``k * flush_period`` grid.
-
-        Grid alignment (rather than "one period from the first send")
-        makes the flush instants independent of which stream happened
-        to accumulate first — deterministic across runs — and makes
-        each channel's deferral offset constant in steady state, so
-        heartbeat inter-arrival gaps stay exactly TTB and referencer
-        records never expire spuriously (the relaxed tier's safety
-        argument, PERFORMANCE.md)."""
-        period = self._relaxed_flush_s
-        kernel = self._kernel
-        now = kernel._now if self._fast_clock else kernel.now
-        next_boundary = (floor(now / period) + 1.0) * period
-        self._relaxed_beat = kernel.schedule_periodic(
-            period,
-            self._flush_relaxed,
-            first_delay=next_boundary - now,
-            label="net.relaxed-flush",
-        )
-
-    def _flush_relaxed(self) -> None:
-        """Flush the per-(channel, kind) accumulator: one FIFO
-        reservation and one :meth:`~repro.net.accounting.BandwidthAccountant.observe_run`
-        per stream, then one columnar aggregate entry per **(delivery
-        instant, destination, kind)** — the relaxed tier's whole point:
-        staging cost per (site, beat bucket), not per message.
-
-        The second-level merge is what pushes past the per-site-pair
-        ceiling: streams from *different* source channels bound for the
-        same destination at the same instant share one entry.  That is
-        protocol-safe by construction — per-stream FIFO is untouched
-        (each channel's columns are appended as a contiguous block, in
-        send order), delivery clocks are each channel's own
-        ``stage_send_n`` reservation (entries only merge when those
-        agree bit-for-bit), and the batch sinks never look at the source
-        — and it matters because DGC fan-out is sparse: at Fig. 10 scale
-        a (site pair, TTB bucket) cell holds ~1.6 messages, while a
-        (site, TTB bucket) cell holds ~100.  Accounting and FIFO state
-        stay exact per channel; only the per-channel ``delivered_count``
-        diagnostic is lumped onto the first contributing channel of a
-        merged entry (network-wide totals are unchanged).
-
-        Intra-node buckets (per (site, kind), no wire and no
-        accounting) are handed straight to the destination's DGC sinks
-        from inside the flush event — the flush instant *is* their
-        delivery instant, so they never touch the pulse at all.  Both
-        accumulators are detached before anything runs: the local
-        deliveries execute collector code that may send fresh DGC
-        traffic, which lands in the next bucket.
-
-        Streams flush in accumulation order (insertion-ordered dicts) —
-        deterministic.  A flush that finds the accumulators drained
-        stops the beat; the next DGC send re-arms it."""
-        acc = self._relaxed_acc
-        local = self._relaxed_local_acc
-        if not acc and not local:
-            beat = self._relaxed_beat
-            if beat is not None:
-                beat.stop()
-                self._relaxed_beat = None
-            return
-        if acc:
-            self._relaxed_acc = {}
-            self._flush_relaxed_cross(acc)
-        if local:
-            self._relaxed_local_acc = {}
-            self._flush_relaxed_local(local)
-
-    def _flush_relaxed_cross(self, acc: Dict[tuple, list]) -> None:
-        accountant = self.accountant
-        fault_plan = self.fault_plan
-        groups: Dict[tuple, list] = {}
-        for (channel, kind), box in acc.items():
-            dest = box[0]
-            size_bytes = box[1]
-            targets = box[2]
-            count = len(targets)
-            if channel._delay_rules and fault_plan.may_delay(
-                channel.source, dest, kind
-            ):
-                # Delay rules attached after accumulation began:
-                # deliver each constituent with per-envelope latency
-                # semantics (accounted by ``send`` itself).
-                messages = box[3]
-                for index in range(count):
-                    self.send(
-                        Envelope(
-                            channel.source, dest, kind, size_bytes,
-                            (targets[index], messages[index]), _drop_payload,
-                        )
-                    )
-                continue
-            delivery_time = channel.stage_send_n(count)
-            accountant.observe_run(kind, size_bytes, channel.pair, count)
-            group = groups.get((delivery_time, dest, kind))
-            if group is None:
-                # Repurpose the box: slot 1 becomes the representative
-                # channel (the entry needs one for delivery bookkeeping).
-                box[1] = channel
-                groups[(delivery_time, dest, kind)] = box
-            else:
-                group[2].extend(targets)
-                group[3].extend(box[3])
-                self.aggregated_message_count += count
-        for (delivery_time, dest, kind), box in groups.items():
-            targets = box[2]
-            if len(targets) == 1:
-                self._stage(
-                    delivery_time,
-                    (box[1], None, dest, kind, targets[0], box[3][0]),
-                )
-            else:
-                agg_kind = (
-                    _AGG_DGC_MESSAGE
-                    if kind == KIND_DGC_MESSAGE
-                    else _AGG_DGC_RESPONSE
-                )
-                self._stage(
-                    delivery_time,
-                    (box[1], None, dest, agg_kind, targets, box[3]),
-                )
-            self.relaxed_flush_count += 1
-
-    def _flush_relaxed_local(self, local: Dict[tuple, list]) -> None:
-        """Deliver the intra-node buckets synchronously, in accumulation
-        order: one single-sink call for a lone message, one batch-sink
-        column loop otherwise.  Sinks are resolved at delivery time so a
-        destination that vanished mid-bucket drops its messages, exactly
-        like :meth:`_dispatch`."""
-        msg_single_get = self._dgc_message_sinks.get
-        resp_single_get = self._dgc_response_sinks.get
-        msg_batch_get = self._dgc_message_batch_sinks.get
-        resp_batch_get = self._dgc_response_batch_sinks.get
-        fault_plan = self.fault_plan
-        for (dest, kind), box in local.items():
-            targets = box[0]
-            is_message = kind == KIND_DGC_MESSAGE
-            if len(targets) == 1:
-                handler = (
-                    msg_single_get(dest) if is_message
-                    else resp_single_get(dest)
-                )
-                if handler is None:
-                    fault_plan.dropped_count += 1
-                else:
-                    handler(targets[0], box[1][0])
-            else:
-                handler = (
-                    msg_batch_get(dest) if is_message
-                    else resp_batch_get(dest)
-                )
-                if handler is None:
-                    fault_plan.dropped_count += len(targets)
-                else:
-                    handler(targets, box[1])
-            self.relaxed_flush_count += 1
-
-    def _fire_pulse(self, delivery_time: float) -> None:
-        """Deliver every entry staged for ``delivery_time``, in stage
-        (i.e. send) order — the per-entry baseline loop.
-
-        Local entries carry their resolved sink; cross-node ones
-        re-resolve the destination at delivery, like ``_dispatch``.
-        """
-        entries = self._pulses.pop(delivery_time)
-        self.staged_entry_count += len(entries)
-        permuter = self.pulse_permuter
-        if permuter is not None:
-            entries = permuter(delivery_time, entries)
-        typed_sinks = self._typed_sinks
-        for channel, sink, dest, kind, item, payload in entries:
-            if channel is not None:
-                channel.delivered_count += 1
-            if kind is None:
-                if channel is None:
-                    sink(item)
-                else:
-                    self._dispatch(item)
-                continue
-            if channel is not None:
-                sink = typed_sinks.get(dest)
-                if sink is None:
-                    self.fault_plan.dropped_count += 1
-                    continue
-            sink(kind, item, payload)
-
     def _fire_pulse_columnar(self, delivery_time: float) -> None:
         """Deliver every entry staged for ``delivery_time``, in stage
-        (i.e. send) order, then recycle the pulse record — the
-        aggregated core's loop.
+        (i.e. send) order, then recycle the pulse record.
 
         One tight loop with every per-entry lookup bound to a local:
         aggregate entries cost one batch-sink call per *run* (the
         destination loops the flat columns itself), plain DGC entries
         dispatch straight to their single-message lane (no typed-sink
-        kind dispatch), and everything else behaves exactly as the
-        per-entry loop.  Handlers running inside the loop may stage new
-        traffic freely — even for this same instant — because the record
-        was detached from ``_pulses`` before the loop and only recycled
-        after it.
+        kind dispatch), and typed and envelope entries go through their
+        sinks (cross-node ones re-resolved at delivery, like
+        :meth:`_dispatch`).  Handlers running inside the loop may stage
+        new traffic freely — even for this same instant — because the
+        record was detached from ``_pulses`` before the loop and only
+        recycled after it.
         """
         entries = self._pulses.pop(delivery_time)
         if delivery_time == self._last_pulse_time:

@@ -1,5 +1,5 @@
-"""Protocol-safe delivery reordering — the relaxed equivalence tier's
-contract.
+"""Protocol-safe delivery reordering — the class of schedules the DGC
+tolerates.
 
 The DGC's correctness argument (paper Sec. 3.2) needs exactly two
 ordering properties from the transport:
@@ -19,13 +19,14 @@ different kinds on one channel — is semantically free: the protocol
 folds each arriving message into per-referencer state keyed by the
 sender, and cross-stream order carries no information.
 
-This module encodes that class as one checkable predicate shared by the
-relaxed staging core (:meth:`repro.net.network.Network._flush_relaxed`
-accumulates per ``(channel, kind)`` stream, the same key
-:func:`stream_key` canonicalizes) and the test suites
-(``tests/property/test_reorder_safety.py`` shuffles recorded schedules
-with :func:`safe_shuffle` and validates both directions with
-:func:`find_violation`).
+This module encodes that class as one checkable predicate shared by
+the registry's beat-quantized coherence channel
+(:class:`repro.runtime.registry.CoherenceChannel` defers and coalesces
+per ``(destination, name)`` stream, and is checked against this
+predicate), the fabric's ``pulse_permuter`` test hook, and the test
+suites (``tests/property/test_reorder_safety.py`` shuffles recorded
+and live schedules with :func:`safe_shuffle` and validates both
+directions with :func:`find_violation`).
 """
 
 from __future__ import annotations

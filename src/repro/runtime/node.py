@@ -77,7 +77,7 @@ class Node:
         self._dgc_response_bytes = self.wire_sizes.dgc_response_bytes
         #: Direct DGC dispatch tables: activity id -> bound collector
         #: handler, maintained by :meth:`register_collector` and the
-        #: termination hook.  The aggregated core's receive lanes hit
+        #: termination hook.  The columnar core's receive lanes hit
         #: these with one dict probe instead of activity lookup +
         #: collector null-checks per message; a miss falls back to the
         #: full lookup (collectors attached outside the world's create
@@ -248,13 +248,7 @@ class Node:
             # the unbatched one.
             self._flush_response_run()
         size = size_bytes if size_bytes is not None else self._dgc_message_bytes
-        network = self.network
-        send = (
-            network.send_dgc_single
-            if network.aggregate_site_pairs
-            else network.send_typed
-        )
-        send(
+        self.network.send_dgc_single(
             self.name,
             target_ref.node,
             KIND_DGC_MESSAGE,
@@ -271,7 +265,7 @@ class Node:
         in send order, one fabric call for the whole group.
 
         The fabric stages the run as a single aggregate pulse entry in
-        aggregated-columnar mode and falls back to per-message
+        the columnar core and falls back to per-message
         :meth:`send_dgc_message` semantics (same order, same accounting)
         everywhere else, so the grouping is a pure dispatch optimisation.
         """
@@ -304,13 +298,7 @@ class Node:
             run[1] = [target_ref.activity_id]
             run[2] = [response]
             return
-        network = self.network
-        send = (
-            network.send_dgc_single
-            if network.aggregate_site_pairs
-            else network.send_typed
-        )
-        send(
+        self.network.send_dgc_single(
             self.name,
             target_ref.node,
             KIND_DGC_RESPONSE,
@@ -489,9 +477,9 @@ class Node:
     def _on_dgc_message_via_lookup(
         self, activity_id: ActivityId, message: Any
     ) -> None:
-        """Typed-sink DGC delivery — the previous core's receive path
-        (activity lookup per message), kept for the per-entry baseline
-        and the envelope fallback."""
+        """Typed-sink DGC delivery (activity lookup per message): the
+        receive path of the per-event reference and of the typed and
+        envelope fallbacks."""
         activity = self.activities.get(activity_id)
         if activity is None or activity.collector is None:
             # Referenced activity already collected/terminated: silence.
@@ -507,7 +495,7 @@ class Node:
         activity.collector.on_dgc_response(response)
 
     def _on_dgc_message(self, activity_id: ActivityId, message: Any) -> None:
-        """Single-message DGC lane of the aggregated core: one dispatch
+        """Single-message DGC lane of the columnar core: one dispatch
         table probe to the bound collector handler."""
         handler = self._dgc_message_targets.get(activity_id)
         if handler is not None:

@@ -219,20 +219,16 @@ def run_nas_kernel(
     safety_checks: bool = False,
     beat_slots: Optional[Union[int, str]] = None,
     batched_beats: Optional[bool] = None,
-    aggregate_site_pairs: Optional[bool] = None,
-    aggregation: Optional[str] = None,
     trace: bool = False,
     keep_world: bool = False,
 ) -> NasRunResult:
     """Run one kernel once; see the module docstring for the protocol.
 
-    ``beat_slots`` / ``batched_beats`` / ``aggregate_site_pairs`` /
-    ``aggregation`` override the corresponding DGC config knobs (see
-    :class:`repro.core.config.DgcConfig`): ``aggregation`` picks the
-    delivery core by name (``per-event`` / ``per-entry`` / ``exact`` /
-    ``relaxed``); ``batched_beats=False`` restores per-event scheduling
-    and per-envelope delivery, ``aggregate_site_pairs=False`` keeps the
-    per-entry batched pulse — the A/B axes of the NAS fabric benchmark.
+    ``beat_slots`` / ``batched_beats`` override the corresponding DGC
+    config knobs (see :class:`repro.core.config.DgcConfig`):
+    ``batched_beats=False`` selects the per-event reference core (one
+    kernel event per tick and per envelope) instead of the exact
+    columnar one — the A/B axis of the NAS fabric benchmark.
     """
     if dgc is not None:
         overrides = {}
@@ -240,17 +236,6 @@ def run_nas_kernel(
             overrides["beat_slots"] = beat_slots
         if batched_beats is not None:
             overrides["batched_beats"] = batched_beats
-        if aggregate_site_pairs is not None:
-            overrides["aggregate_site_pairs"] = aggregate_site_pairs
-        if aggregation is not None:
-            overrides["aggregation"] = aggregation
-        elif (
-            ("batched_beats" in overrides or "aggregate_site_pairs" in overrides)
-            and dgc.aggregation is not None
-        ):
-            # Boolean overrides must win over a base config's named
-            # mode, or normalization would resurrect it.
-            overrides["aggregation"] = None
         if overrides:
             dgc = dgc.with_overrides(**overrides)
     world = World(

@@ -5,23 +5,22 @@ Three tiers of equivalence, strongest first:
 * **Exact** (:func:`world_fingerprint`) — the full
   :class:`~repro.world.WorldStats` block (including every per-activity
   collection instant) plus the raw tracer stream, event for event.  The
-  per-entry batched and exact-order aggregated cores are gated on this
-  tier against the per-event baseline: pure mechanics changes, nothing
-  the world can observe.
+  exact columnar core is gated on this tier against the per-event
+  reference: a pure mechanics change, nothing the world can observe.
 * **Permutation-tolerant** (:func:`canonical_tracer`) — the tracer
   stream up to reordering of same-instant events.  Protocol-safe
   shuffles (per-stream FIFO kept, delivery clock untouched — see
   :mod:`repro.net.reorder`) permute only within an instant, so two
   streams are shuffle-equivalent iff their canonical forms are equal.
-* **Outcome** (:func:`outcome_fingerprint`) — what the relaxed
-  coalescing tier guarantees: the *reachability verdicts*.  Same
-  activities created, the same set collected, same explicit
-  terminations, zero dead letters and zero safety violations.  Instants,
-  the acyclic/cyclic classification (an artifact of which detection path
-  fired first) and traffic totals (a function of run length) may shift
-  within the deferral bound and are deliberately excluded — see the
-  relaxed-tier section of PERFORMANCE.md for why nothing stronger can
-  hold once deliveries are deferred across instants.
+* **Outcome** (:func:`outcome_fingerprint`) — the *reachability
+  verdicts*: same activities created, the same set collected, same
+  explicit terminations, zero dead letters and zero safety violations.
+  This tier serves the shuffle property tests, where instants may
+  legitimately shift once protocol-safe shuffles race expiry checks
+  against same-instant refreshes (the acyclic/cyclic classification —
+  an artifact of which detection path fired first — and traffic totals
+  move with them), and the registry coherence tests, which assert it
+  next to the exact tier.
 """
 
 import dataclasses
@@ -71,7 +70,7 @@ def canonical_tracer(result, until=None):
 
 
 def outcome_fingerprint(result):
-    """The relaxed tier's contract: reachability verdicts only.
+    """Reachability verdicts only.
 
     Activity ids are process-global, so callers must reset the id
     counter (:func:`repro.runtime.ids.reset_id_counter`) before each run
@@ -86,14 +85,3 @@ def outcome_fingerprint(result):
         "safety_violations": stats.safety_violations,
     }
 
-
-def bandwidth_fingerprint(result):
-    """Per-kind traffic totals (bytes, messages) from the accountant —
-    bit-comparable between exact cores; the relaxed tier only bounds
-    them (deferral stretches the collapse phase by up to the extra
-    detection latency, and heartbeats keep flowing while it lasts)."""
-    return {
-        kind: (category.bytes, category.messages)
-        for kind, category in
-        result.world.network.accountant.summary().items()
-    }

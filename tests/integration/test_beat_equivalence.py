@@ -15,11 +15,7 @@ from repro.core.config import DgcConfig
 from repro.net.topology import uniform_topology
 from repro.runtime.ids import reset_id_counter
 from repro.workloads.torture import run_torture
-from tests.equiv import (
-    outcome_fingerprint,
-    stats_fingerprint,
-    tracer_fingerprint,
-)
+from tests.equiv import stats_fingerprint, tracer_fingerprint
 
 SLAVES = 24
 NODES = 6
@@ -27,8 +23,7 @@ ACTIVE = 40.0
 CONFIG = DgcConfig(ttb=2.0, tta=5.0)
 
 
-def run(seed: int, slots: int, batched: bool = True, aggregated: bool = False,
-        aggregation: str = None):
+def run(seed: int, slots: int, batched: bool = True):
     reset_id_counter()
     return run_torture(
         dgc=CONFIG,
@@ -39,9 +34,8 @@ def run(seed: int, slots: int, batched: bool = True, aggregated: bool = False,
         sample_period=10.0,
         collect_timeout=4_000.0,
         beat_slots=slots,
-        batched_beats=None if aggregation else batched,
-        aggregate_site_pairs=None if aggregation else aggregated,
-        aggregation=aggregation,
+        batched_beats=batched,
+        safety_checks=True,
         trace=True,
         keep_world=True,
     )
@@ -61,54 +55,21 @@ def world_fingerprint(result):
 @pytest.mark.parametrize("seed", [0, 1, 7, 23])
 @pytest.mark.parametrize("slots", [0, 4])
 def test_all_three_cores_are_bit_identical(seed, slots):
-    """Aggregated columnar, per-entry batched and per-event delivery
-    are pure mechanics changes: same stats, same series, same tracer
-    stream, event for event."""
-    aggregated = run(seed, slots, batched=True, aggregated=True)
-    batched = run(seed, slots, batched=True)
+    """Exact columnar and per-event delivery are pure mechanics
+    changes: same stats, same series, same tracer stream, event for
+    event — with the safety oracle checking every collection."""
+    exact = run(seed, slots, batched=True)
     per_event = run(seed, slots, batched=False)
-    assert aggregated.all_collected
-    assert batched.all_collected and per_event.all_collected
-    a_stats, a_events, a_series = world_fingerprint(aggregated)
-    b_stats, b_events, b_series = world_fingerprint(batched)
+    assert exact.all_collected and per_event.all_collected
+    e_stats, e_events, e_series = world_fingerprint(exact)
     p_stats, p_events, p_series = world_fingerprint(per_event)
-    assert b_stats == p_stats
-    assert b_series == p_series
-    assert len(b_events) == len(p_events)
-    assert b_events == p_events
-    assert a_stats == b_stats
-    assert a_series == b_series
-    assert a_events == b_events
-    # The aggregated core actually merged site-pair runs on this graph.
-    assert aggregated.world.network.aggregated_message_count > 0
-
-
-@pytest.mark.parametrize("seed", [0, 1, 7, 23])
-def test_relaxed_core_matches_per_event_outcomes(seed):
-    """The relaxed coalescing tier defers DGC deliveries (never by more
-    than one flush period, never reordering a stream, never earlier),
-    so instants shift — but every reachability verdict must agree with
-    the per-event baseline: same activities created, the same set
-    collected, zero dead letters, zero safety violations."""
-    relaxed = run(seed, slots=4, aggregation="relaxed")
-    per_event = run(seed, slots=4, aggregation="per-event")
-    assert relaxed.all_collected and per_event.all_collected
-    assert outcome_fingerprint(relaxed) == outcome_fingerprint(per_event)
-    network = relaxed.world.network
-    # The tier actually coalesced across instants on this graph.
-    assert network.relaxed_flush_count > 0
-    assert network.aggregated_message_count > 0
-
-
-def test_relaxed_core_defers_but_stays_bounded():
-    """Deferral inflates DGC traffic only by the extra detection
-    latency (the collapse phase stretches by up to ~2 flush periods per
-    protocol round-trip while heartbeats keep flowing) — not by an
-    unbounded amount."""
-    relaxed = run(3, slots=4, aggregation="relaxed")
-    exact = run(3, slots=4, aggregation="exact")
-    assert relaxed.all_collected and exact.all_collected
-    assert relaxed.dgc_bandwidth_mb < exact.dgc_bandwidth_mb * 1.5
+    assert e_stats == p_stats
+    assert e_series == p_series
+    assert len(e_events) == len(p_events)
+    assert e_events == p_events
+    assert exact.world.stats.safety_violations == 0
+    # The exact core actually merged site-pair runs on this graph.
+    assert exact.world.network.aggregated_message_count > 0
 
 
 def test_quantized_phases_change_schedule_but_not_liveness():

@@ -17,11 +17,7 @@ from repro.core.config import DgcConfig
 from repro.net.topology import uniform_topology
 from repro.runtime.ids import reset_id_counter
 from repro.workloads.nas import kernel_spec, run_nas_kernel
-from tests.equiv import (
-    outcome_fingerprint,
-    stats_fingerprint,
-    tracer_fingerprint,
-)
+from tests.equiv import stats_fingerprint, tracer_fingerprint
 
 CONFIG = DgcConfig(ttb=2.0, tta=5.0)
 WORKERS = 10
@@ -36,8 +32,7 @@ SPECS = {
 
 
 def run(kernel: str, seed: int, batched: bool = True,
-        aggregated: bool = False, reply_barrier: bool = False,
-        aggregation: str = None):
+        reply_barrier: bool = False):
     reset_id_counter()
     return run_nas_kernel(
         kernel_spec(kernel, ao_count=WORKERS, reply_barrier=reply_barrier,
@@ -46,9 +41,8 @@ def run(kernel: str, seed: int, batched: bool = True,
         topology=uniform_topology(NODES),
         seed=seed,
         collect_timeout=4_000.0,
-        batched_beats=None if aggregation else batched,
-        aggregate_site_pairs=None if aggregation else aggregated,
-        aggregation=aggregation,
+        batched_beats=batched,
+        safety_checks=True,
         trace=True,
         keep_world=True,
     )
@@ -80,57 +74,35 @@ def world_fingerprint(result):
 @pytest.mark.parametrize("seed", [0, 5, 17])
 @pytest.mark.parametrize("kernel", sorted(SPECS))
 def test_all_three_cores_are_bit_identical_on_app_traffic(kernel, seed):
-    aggregated = run(kernel, seed, batched=True, aggregated=True)
-    batched = run(kernel, seed, batched=True)
+    exact = run(kernel, seed, batched=True)
     per_event = run(kernel, seed, batched=False)
-    a_stats, a_events, a_outcome = world_fingerprint(aggregated)
-    b_stats, b_events, b_outcome = world_fingerprint(batched)
+    e_stats, e_events, e_outcome = world_fingerprint(exact)
     p_stats, p_events, p_outcome = world_fingerprint(per_event)
-    assert b_outcome == p_outcome
-    assert b_stats == p_stats
-    assert len(b_events) == len(p_events)
-    assert b_events == p_events
-    assert a_outcome == b_outcome
-    assert a_stats == b_stats
-    assert a_events == b_events
+    assert e_outcome == p_outcome
+    assert e_stats == p_stats
+    assert len(e_events) == len(p_events)
+    assert e_events == p_events
+    assert exact.world.stats.safety_violations == 0
     # NAS workers hold complete graphs: site-pair runs must merge.
-    assert aggregated.world.network.aggregated_message_count > 0
-
-
-@pytest.mark.parametrize("seed", [0, 5])
-@pytest.mark.parametrize("kernel", sorted(SPECS))
-def test_relaxed_core_matches_per_event_outcomes(kernel, seed):
-    """On app-dominated NAS traffic the relaxed tier defers only the
-    DGC sideband, so beyond the reachability verdicts even the app
-    phase is untouched: same completion time, same app bandwidth."""
-    relaxed = run(kernel, seed, aggregation="relaxed")
-    per_event = run(kernel, seed, aggregation="per-event")
-    assert outcome_fingerprint(relaxed) == outcome_fingerprint(per_event)
-    assert relaxed.app_time_s == per_event.app_time_s
-    assert relaxed.app_bandwidth_mb == per_event.app_bandwidth_mb
-    assert relaxed.dead_letters == per_event.dead_letters == 0
-    assert relaxed.world.network.relaxed_flush_count > 0
+    assert exact.world.network.aggregated_message_count > 0
 
 
 @pytest.mark.parametrize("seed", [2, 11])
 def test_reply_barrier_is_bit_identical_across_cores(seed):
     """The synchronous NAS variant (driver-mediated iteration barriers,
     one reply future per worker per iteration) exercises the
-    future/reply path; its outcomes must be identical under aggregated,
-    per-entry batched and per-event delivery."""
-    aggregated = run("FT", seed, batched=True, aggregated=True,
-                     reply_barrier=True)
-    batched = run("FT", seed, batched=True, reply_barrier=True)
+    future/reply path; its outcomes must be identical under exact
+    columnar and per-event delivery."""
+    exact = run("FT", seed, batched=True, reply_barrier=True)
     per_event = run("FT", seed, batched=False, reply_barrier=True)
-    assert world_fingerprint(aggregated) == world_fingerprint(batched)
-    assert world_fingerprint(batched) == world_fingerprint(per_event)
+    assert world_fingerprint(exact) == world_fingerprint(per_event)
     # The barrier actually rode the reply path: one reply per worker
     # per iteration was delivered on top of the async variant's.
-    plain = run("FT", seed, batched=True, aggregated=True)
+    plain = run("FT", seed, batched=True)
     assert (
-        aggregated.app_bandwidth_mb > plain.app_bandwidth_mb
+        exact.app_bandwidth_mb > plain.app_bandwidth_mb
     ), "reply traffic missing"
-    assert aggregated.collected_acyclic + aggregated.collected_cyclic == WORKERS
+    assert exact.collected_acyclic + exact.collected_cyclic == WORKERS
 
 
 @pytest.mark.parametrize("kernel", sorted(SPECS))
@@ -152,6 +124,7 @@ def test_auto_beat_slots_collects_and_stays_equivalent():
         seed=9,
         collect_timeout=4_000.0,
         beat_slots="auto",
+        safety_checks=True,
         trace=True,
         keep_world=True,
     )

@@ -44,8 +44,7 @@ PLACEMENTS = {
 }
 
 
-def run(registry: RegistryConfig, seed: int, batched: bool = True,
-        aggregation: str = None):
+def run(registry: RegistryConfig, seed: int, batched: bool = True):
     reset_id_counter()
     return run_naming(
         dgc=CONFIG,
@@ -58,9 +57,8 @@ def run(registry: RegistryConfig, seed: int, batched: bool = True,
         churn_period=6.0,
         topology=uniform_topology(NODES),
         seed=seed,
-        batched_beats=None if aggregation else batched,
-        aggregate_site_pairs=None if aggregation else batched,
-        aggregation=aggregation,
+        batched_beats=batched,
+        safety_checks=True,
         trace=True,
         keep_world=True,
     )
@@ -101,26 +99,6 @@ def test_placement_modes_bit_identical_batched_vs_per_event(placement, seed):
         assert batched.cache_hits > 0
         assert batched.remote_lookups > 0
     assert batched.resolves_completed == batched.resolves_issued > 0
-
-
-@pytest.mark.parametrize("seed", [1, 7])
-@pytest.mark.parametrize("placement", sorted(PLACEMENTS))
-def test_relaxed_core_matches_per_event_outcomes(placement, seed):
-    """Registry traffic rides exact pulses even under the relaxed tier
-    (only DGC kinds are deferred), so the whole resolution story — not
-    just the reachability verdicts — must match the per-event baseline."""
-    registry = PLACEMENTS[placement]
-    relaxed = run(registry, seed, aggregation="relaxed")
-    per_event = run(registry, seed, aggregation="per-event")
-    assert relaxed.all_collected and per_event.all_collected
-    assert outcome_fingerprint(relaxed) == outcome_fingerprint(per_event)
-    assert relaxed.resolves_issued == per_event.resolves_issued
-    assert relaxed.resolves_completed == per_event.resolves_completed
-    assert relaxed.hits == per_event.hits
-    assert relaxed.misses == per_event.misses
-    assert relaxed.binds_applied == per_event.binds_applied
-    assert relaxed.unbinds_applied == per_event.unbinds_applied
-    assert relaxed.world.network.relaxed_flush_count > 0
 
 
 @pytest.mark.parametrize("seed", [3, 11, 29])

@@ -104,7 +104,7 @@ def test_cli_run_torture_per_event(capsys):
             "--nodes", "4",
             "--ttb", "2",
             "--tta", "6",
-            "--per-event-beats",
+            "--aggregation", "per-event",
         ]
     )
     assert code == 0

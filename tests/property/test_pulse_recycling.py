@@ -1,6 +1,6 @@
 """Pulse-record recycling never leaks entries across instants.
 
-The aggregated columnar core keeps a free list of per-instant pulse
+The columnar core keeps a free list of per-instant pulse
 records (``Network._pulse_pool``): a fired record is cleared and reused
 by a later instant.  The properties checked here:
 
@@ -48,7 +48,6 @@ def build_network(fault_plan=None, received=None):
         kernel, uniform_topology(NODES, rtt_s=0.01), fault_plan=fault_plan
     )
     network.pulse_batching = True
-    network.aggregate_site_pairs = True
     if received is None:
         received = []
 

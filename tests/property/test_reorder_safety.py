@@ -1,5 +1,5 @@
 """Property suite for the protocol-safe reordering class
-(:mod:`repro.net.reorder`) — the relaxed tier's license.
+(:mod:`repro.net.reorder`).
 
 Three layers:
 
@@ -11,9 +11,9 @@ Three layers:
    of full torture runs (via the fabric's ``pulse_permuter`` hook)
    leave the world bit-identical — collection outcomes, stats, and the
    tracer stream up to same-instant permutation — across seeds.
-3. The relaxed core's actual delivery schedule, recorded at the
-   network fabric, is a protocol-safe reordering (deferral included) of
-   the exact core's schedule for the same send sequence.
+3. The exact core's delivery schedule, recorded at the network
+   fabric, is rejected by the predicate once reversed — the predicate
+   has teeth on real fabric output, not just on synthetic schedules.
 """
 
 import random
@@ -146,7 +146,7 @@ def entry_stream(entry):
     return stream_key(source, dest, kind)
 
 
-def run_torture_case(shuffle_seed=None, aggregation="exact"):
+def run_torture_case(shuffle_seed=None):
     reset_id_counter()
     if shuffle_seed is not None:
         rng = random.Random(shuffle_seed)
@@ -173,7 +173,7 @@ def run_torture_case(shuffle_seed=None, aggregation="exact"):
             sample_period=10.0,
             collect_timeout=4_000.0,
             beat_slots=4,
-            aggregation=aggregation,
+            safety_checks=True,
             trace=True,
             keep_world=True,
         )
@@ -190,7 +190,7 @@ def test_protocol_safe_shuffles_collect_identically(shuffle_seed):
     tracer stream is identical up to same-instant permutation.  Once
     the collapse phase's expiry checks start racing same-instant
     refreshes, instants may shift by a beat; the outcome tier is what
-    survives, which is exactly the relaxed tier's contract."""
+    survives."""
     baseline = run_torture_case()
     shuffled = run_torture_case(shuffle_seed=shuffle_seed)
     assert baseline.all_collected and shuffled.all_collected
@@ -201,16 +201,13 @@ def test_protocol_safe_shuffles_collect_identically(shuffle_seed):
 
 
 # ----------------------------------------------------------------------
-# 3. The relaxed core's schedule is protocol-safe against exact's
+# 3. The exact core's recorded schedule
 # ----------------------------------------------------------------------
 
-def fabric(relaxed):
+def fabric():
     kernel = SimKernel()
     network = Network(kernel, uniform_topology(2, rtt_s=0.01))
     network.pulse_batching = True
-    network.aggregate_site_pairs = True
-    if relaxed:
-        network.configure_relaxed(1.0)
     deliveries = []
 
     def register(node):
@@ -241,10 +238,10 @@ def fabric(relaxed):
     return kernel, network, deliveries
 
 
-def drive(relaxed):
+def drive():
     """One fixed DGC send script: message bursts and responses from
     site-0 to site-1 spread over a few instants."""
-    kernel, network, deliveries = fabric(relaxed)
+    kernel, network, deliveries = fabric()
     seq = 0
 
     def send(kind, count):
@@ -262,23 +259,8 @@ def drive(relaxed):
     return network, deliveries
 
 
-def test_relaxed_schedule_is_protocol_safe_reordering_of_exact():
-    exact_net, exact = drive(relaxed=False)
-    relaxed_net, relaxed = drive(relaxed=True)
-    violation = find_violation(
-        exact, relaxed,
-        key=lambda r: stream_key(r[1], r[2], r[3]),
-        time=lambda r: r[0],
-        ident=lambda r: r[4],
-    )
-    assert violation is None, violation
-    # ... and strictly cheaper: fewer staged entries for the same sends.
-    assert relaxed_net.relaxed_flush_count > 0
-    assert relaxed_net.staged_entry_count < exact_net.staged_entry_count
-
-
 def test_relaxed_schedule_reversed_is_rejected():
-    _net, exact = drive(relaxed=False)
+    _net, exact = drive()
     backwards = list(reversed(exact))
     assert not is_protocol_safe(
         exact, backwards,

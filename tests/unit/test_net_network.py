@@ -260,14 +260,13 @@ def test_typed_and_envelope_traffic_share_channel_fifo():
 
 
 # ----------------------------------------------------------------------
-# The aggregated columnar core (send_dgc_single / send_dgc_run)
+# The columnar core (send_dgc_single / send_dgc_run)
 # ----------------------------------------------------------------------
 
 
 def make_aggregated_network(node_count=3):
     kernel, network = make_network(node_count)
     network.pulse_batching = True
-    network.aggregate_site_pairs = True
     typed, singles, batches = [], [], []
     for index in range(node_count):
         name = f"site-{index}"
@@ -359,21 +358,37 @@ def test_send_dgc_run_stages_one_entry_and_counts_constituents():
 
 def test_send_dgc_run_falls_back_per_message_without_aggregation():
     kernel, network, typed, singles, batches = make_aggregated_network()
-    network.aggregate_site_pairs = False
+    network.pulse_batching = False
+    # Re-register site-1 with an envelope sink that records arrivals
+    # (the per-event path delivers envelopes, not typed entries).
+    envelopes = []
+    network.register_node(
+        "site-1", envelopes.append,
+        lambda kind, item, payload: typed.append(("site-1", kind, item, payload)),
+        dgc_sinks={
+            KIND_DGC_MESSAGE: (
+                lambda t, m: singles.append(("site-1", t, m)),
+                lambda ts, ms: batches.append(("site-1", ts, ms)),
+            ),
+        },
+    )
     network.send_dgc_run(
         "site-0", "site-1", KIND_DGC_MESSAGE, 64, ["x", "y"], ["m", "m"]
     )
     kernel.run()
     assert batches == []
-    assert [item for __, kind, item, __ in typed
-            if kind == KIND_DGC_MESSAGE] == ["x", "y"]
+    assert singles == []
+    assert typed == []
+    assert [(env.kind, env.payload[0]) for env in envelopes] == [
+        (KIND_DGC_MESSAGE, "x"), (KIND_DGC_MESSAGE, "y"),
+    ]
+    assert network.accountant.messages_for(KIND_DGC_MESSAGE) == 2
 
 
 def test_send_dgc_single_respects_partitions_and_counts_drops():
     plan = FaultPlan()
     kernel, network = make_network(2, fault_plan=plan)
     network.pulse_batching = True
-    network.aggregate_site_pairs = True
     received = []
     network.register_node(
         "site-0", lambda env: None, lambda *a: None,
