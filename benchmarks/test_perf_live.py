@@ -36,7 +36,11 @@ at least ``MIN_FRAME_DIET``x smaller than the PR 7 v1 baseline
 half the PR 7 baseline (2093).  The *parallel speedup* gate
 (``MIN_SPEEDUP``x at 4 shards) additionally needs four workers actually
 running concurrently, so it stays armed only when
-``os.cpu_count() >= 4``; the ratio is recorded unconditionally.
+``os.cpu_count() >= 4``; the ratio is recorded unconditionally.  Every
+armed gate is evaluated inside the ``measurements`` fixture and
+``BENCH_live.json`` is written only when all of them pass, so a failing
+run never leaves a committable artifact; the artifact records each
+gate's value and threshold in ``meta.gates``.
 
 Scale is controlled with ``REPRO_LIVE_SCALE``:
 
@@ -179,11 +183,82 @@ def _sharded_measurement(name, result, replay_wall):
     )
 
 
+def _gate(value, threshold, passed):
+    return {"value": value, "threshold": threshold, "passed": bool(passed)}
+
+
+def _gates(runs):
+    """Every armed gate of this benchmark as ``name -> {value,
+    threshold, passed}``, evaluated before anything is written."""
+    replay = runs["replay"]
+    sharded = [runs[shards] for shards in SHARD_ARMS]
+    matched = all(
+        result.outcome_signature() == replay["signature"]
+        and result.dead_letters == 0
+        and result.safety_violations == 0
+        and result.live_non_root == 0
+        for result in sharded
+    )
+    collected = replay["created"] == SLAVE_COUNT + 2 and all(
+        result.created == replay["created"]
+        and result.collected_total == replay["collected"]
+        for result in sharded
+    )
+    flowing = all(
+        result.events_workload + result.events_coordination
+        == result.events_fired
+        and (
+            result.frame_count == 0 and result.events_coordination == 0
+            if shards == 1 else
+            result.frame_count > 0
+            and result.frame_bytes > 0
+            and result.injected_entries > 0
+            and result.frame_entries >= result.injected_entries
+            and result.events_coordination > 0
+        )
+        for shards, result in zip(SHARD_ARMS, sharded)
+    )
+    gates = {
+        "outcomes_match_replay": _gate(matched, True, matched),
+        "all_collected": _gate(collected, True, collected),
+        "cross_shard_frames_flow": _gate(flowing, True, flowing),
+    }
+    if OVERHEAD_GATE_ARMED:
+        two = runs[2]
+        diet = BASELINE_V1_FRAME_BYTES / two.frame_bytes
+        gates["frame_diet"] = _gate(
+            round(diet, 3), MIN_FRAME_DIET,
+            two.frame_bytes * MIN_FRAME_DIET <= BASELINE_V1_FRAME_BYTES,
+        )
+        gates["round_diet"] = _gate(
+            two.rounds, BASELINE_ROUNDS // 2,
+            two.rounds * 2 <= BASELINE_ROUNDS,
+        )
+        speedup = replay["wall"] / two.wall_s
+        gates["speedup_vs_replay_2shards"] = _gate(
+            round(speedup, 3), MIN_SPEEDUP_VS_REPLAY_2SHARDS,
+            speedup >= MIN_SPEEDUP_VS_REPLAY_2SHARDS,
+        )
+    if SCALE == "smoke":
+        frame_bytes = runs[2].frame_bytes
+        gates["smoke_frame_ceiling"] = _gate(
+            frame_bytes, SMOKE_FRAME_BYTES_CEILING,
+            frame_bytes <= SMOKE_FRAME_BYTES_CEILING,
+        )
+    if GATE_ARMED:
+        speedup = replay["wall"] / runs[4].wall_s
+        gates["parallel_speedup_4shards"] = _gate(
+            round(speedup, 3), MIN_SPEEDUP, speedup >= MIN_SPEEDUP
+        )
+    return gates
+
+
 @pytest.fixture(scope="module")
 def measurements():
     runs = {"replay": _run_replay()}
     for shards in SHARD_ARMS:
         runs[shards] = _run_sharded(shards)
+    gates = _gates(runs)
 
     replay = runs["replay"]
     report = PerfReport(
@@ -203,6 +278,7 @@ def measurements():
             "overhead_gate_armed": OVERHEAD_GATE_ARMED,
             "baseline_v1_frame_bytes": BASELINE_V1_FRAME_BYTES,
             "baseline_rounds": BASELINE_ROUNDS,
+            "gates": gates,
         },
         pr_label=PR_LABEL,
     )
@@ -225,8 +301,10 @@ def measurements():
                 f"live_shards_{shards}", runs[shards], replay["wall"]
             )
         )
-    report.write(BENCH_PATH)
-    return runs
+    written = all(gate["passed"] for gate in gates.values())
+    if written:
+        report.write(BENCH_PATH)
+    return {**runs, "gates": gates, "written": written}
 
 
 def test_sharded_outcomes_match_replay(measurements):
@@ -352,7 +430,11 @@ def test_sharded_speedup(measurements):
 def test_bench_artifact_written(measurements):
     import json
 
-    assert BENCH_PATH.exists()
+    failed = [
+        name for name, gate in measurements["gates"].items()
+        if not gate["passed"]
+    ]
+    assert measurements["written"], f"artifact withheld: gates {failed} failed"
     payload = json.loads(BENCH_PATH.read_text())
     assert payload["schema"] == 1
     benchmarks = payload["benchmarks"]
@@ -369,3 +451,4 @@ def test_bench_artifact_written(measurements):
     assert meta["git_sha"]
     assert meta["speedup_gate_armed"] == GATE_ARMED
     assert meta["overhead_gate_armed"] == OVERHEAD_GATE_ARMED
+    assert all(gate["passed"] for gate in meta["gates"].values())

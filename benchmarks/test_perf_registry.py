@@ -37,7 +37,10 @@ arms apply the same binds and issue the same resolves — only the
 coherence wire story differs.
 
 Results land in ``BENCH_registry.json`` at the repo root (see
-PERFORMANCE.md).  Scale is controlled with ``REPRO_REGISTRY_SCALE``:
+PERFORMANCE.md).  Every gate of the measured axes is evaluated inside
+the ``measurements`` fixture and the artifact is written only when all
+of them pass; it records each gate's value and threshold in
+``meta.gates``.  Scale is controlled with ``REPRO_REGISTRY_SCALE``:
 
 * ``full`` (default) — resolve: 128 clients on 64 nodes, 115k resolves,
   gate 1.3x (measured 1.8-2.0x cached, 2.2-2.5x replicated
@@ -204,6 +207,95 @@ def _requires(axis_enabled: bool, axis: str) -> None:
                     f"REPRO_REGISTRY_AXES={AXES!r}")
 
 
+def _gate(value, threshold, passed):
+    return {"value": value, "threshold": threshold, "passed": bool(passed)}
+
+
+def _resolve_gates(runs, speedups):
+    __, static = runs["static_home"]
+    __, cached = runs["cached"]
+    __, replicated = runs["replicated"]
+    complete = all(
+        result.all_collected
+        and result.dead_letters == 0
+        and result.resolves_completed == result.resolves_issued > 0
+        and result.collected_acyclic + result.collected_cyclic
+        == SERVICE_COUNT
+        for __, result in (runs[key] for key in MODES)
+    ) and len({runs[key][1].resolves_issued for key in MODES}) == 1
+    machinery = (
+        static.cache_hits == 0 and static.replica_hits == 0
+        and cached.cache_hits > cached.remote_lookups
+        and cached.renew_messages_sent > 0
+        and cached.invalidations_sent > 0
+        and replicated.remote_lookups == 0
+        and replicated.replica_hits > 0
+    )
+    fewer_bytes = all(
+        result.registry_bandwidth_mb < static.registry_bandwidth_mb
+        for result in (cached, replicated)
+    )
+    lower_latency = all(
+        result.mean_resolve_latency_s < static.mean_resolve_latency_s
+        for result in (cached, replicated)
+    )
+    gates = {
+        "resolve_modes_complete": _gate(complete, True, complete),
+        "resolve_modes_exercised": _gate(machinery, True, machinery),
+        "registry_bytes_below_static_home": _gate(
+            fewer_bytes, True, fewer_bytes
+        ),
+        "resolve_latency_below_static_home": _gate(
+            lower_latency, True, lower_latency
+        ),
+    }
+    for mode in ("cached", "replicated"):
+        gates[f"{mode}_resolve_speedup"] = _gate(
+            round(speedups[mode], 3), MIN_SPEEDUP,
+            speedups[mode] >= MIN_SPEEDUP,
+        )
+    return gates
+
+
+def _bindheavy_gates(runs, speedups):
+    __, eager = runs["bindheavy_eager"]
+    __, beat = runs["bindheavy_beat"]
+    same_work = (
+        all(
+            result.all_collected
+            and result.dead_letters == 0
+            and result.name_count == BH_NAME_COUNT
+            and result.resolves_completed == result.resolves_issued > 0
+            for result in (eager, beat)
+        )
+        and _combined_ops(eager) == _combined_ops(beat)
+        and eager.resolves_issued == beat.resolves_issued
+        and eager.binds_applied == beat.binds_applied >= BH_NAME_COUNT
+        and eager.coherence_staged == 0
+        and beat.coherence_staged > 0
+        and beat.coherence_coalesced > 0
+        and beat.coherence_messages_sent > 0
+    )
+    eager_fanout = (
+        eager.binds_applied + eager.unbinds_applied
+    ) * (BH_NODE_COUNT - 1)
+    fewer_bytes = (
+        beat.registry_bandwidth_mb < eager.registry_bandwidth_mb
+        and beat.coherence_messages_sent < eager_fanout / 10
+    )
+    speedup = speedups["bindheavy_beat"]
+    return {
+        "bindheavy_same_work": _gate(same_work, True, same_work),
+        "bindheavy_fewer_registry_bytes": _gate(
+            fewer_bytes, True, fewer_bytes
+        ),
+        "bindheavy_combined_speedup": _gate(
+            round(speedup, 3), MIN_BINDHEAVY_SPEEDUP,
+            speedup >= MIN_BINDHEAVY_SPEEDUP,
+        ),
+    }
+
+
 @pytest.fixture(scope="module")
 def measurements():
     runs = {}
@@ -242,6 +334,11 @@ def measurements():
             (_combined_ops(beat) / beat_wall)
             / (_combined_ops(eager) / eager_wall)
         )
+    gates = {}
+    if RESOLVE_AXIS:
+        gates.update(_resolve_gates(runs, speedups))
+    if BINDHEAVY_AXIS:
+        gates.update(_bindheavy_gates(runs, speedups))
 
     report = PerfReport(
         meta={
@@ -271,6 +368,7 @@ def measurements():
                 "ttb": BH_DGC.ttb,
                 "tta": BH_DGC.tta,
             },
+            "gates": gates,
         },
         pr_label=PR_LABEL,
     )
@@ -329,8 +427,10 @@ def measurements():
                 extra=extra,
             )
         )
-    report.write(BENCH_PATH)
-    return {**runs, "speedups": speedups}
+    written = all(gate["passed"] for gate in gates.values())
+    if written:
+        report.write(BENCH_PATH)
+    return {**runs, "speedups": speedups, "gates": gates, "written": written}
 
 
 # ----------------------------------------------------------------------
@@ -451,10 +551,15 @@ def test_bindheavy_beat_puts_fewer_registry_bytes_on_wire(measurements):
 def test_bench_artifact_written(measurements):
     import json
 
-    assert BENCH_PATH.exists()
+    failed = [
+        name for name, gate in measurements["gates"].items()
+        if not gate["passed"]
+    ]
+    assert measurements["written"], f"artifact withheld: gates {failed} failed"
     payload = json.loads(BENCH_PATH.read_text())
     assert payload["schema"] == 1
     assert payload["meta"]["axes"] == AXES
+    assert all(gate["passed"] for gate in payload["meta"]["gates"].values())
     benchmarks = payload["benchmarks"]
     if RESOLVE_AXIS:
         for mode in ("cached", "replicated"):

@@ -21,7 +21,10 @@ least ``MIN_SPEEDUP``.  A dense synthetic clique workload is measured as
 a second trajectory point.  Results land in ``BENCH_perf.json`` at the
 repo root so the numbers are tracked across PRs (see PERFORMANCE.md);
 the paper-scale point lives in ``BENCH_fig10.json``
-(``benchmarks/test_perf_fig10.py``).
+(``benchmarks/test_perf_fig10.py``).  Every gate is evaluated inside the
+``measurements`` fixture and the artifact is written only when all of
+them pass; it records each gate's value and threshold in
+``meta.gates``.
 
 Scale is controlled with ``REPRO_PERF_SCALE``:
 
@@ -126,6 +129,40 @@ def _run_clique_once():
     return watch.elapsed, world, collected
 
 
+def _gates(runs, best, speedup, clique_collected):
+    """Every gate of this benchmark as ``name -> {value, threshold,
+    passed}``, evaluated before anything is written."""
+    signatures = {
+        _signature(result) for pairs in runs.values() for __, result in pairs
+    }
+    identical = len(signatures) == 1
+    collected = all(
+        result.all_collected for pairs in runs.values() for __, result in pairs
+    )
+    batched_events = best["batched"][1].events_fired
+    per_event_events = best["per_event"][1].events_fired
+    return {
+        "outcomes_identical": {
+            "value": identical, "threshold": True, "passed": identical,
+        },
+        "all_collected": {
+            "value": collected, "threshold": True, "passed": collected,
+        },
+        "speedup_vs_per_event": {
+            "value": round(speedup, 3), "threshold": MIN_SPEEDUP,
+            "passed": speedup >= MIN_SPEEDUP,
+        },
+        "less_heap_traffic": {
+            "value": batched_events, "threshold": per_event_events,
+            "passed": batched_events < per_event_events,
+        },
+        "clique_collected": {
+            "value": bool(clique_collected), "threshold": True,
+            "passed": bool(clique_collected),
+        },
+    }
+
+
 @pytest.fixture(scope="module")
 def measurements():
     runs = {"batched": [], "per_event": [], "naive_scans": []}
@@ -142,6 +179,7 @@ def measurements():
     speedup = best["per_event"][0] / best["batched"][0]
 
     clique_wall, clique_world, clique_collected = _run_clique_once()
+    gates = _gates(runs, best, speedup, clique_collected)
 
     report = PerfReport(
         meta={
@@ -153,6 +191,7 @@ def measurements():
             "tta": TORTURE_CONFIG.tta,
             "beat_slots": TORTURE_CONFIG.beat_slots,
             "rounds": ROUNDS,
+            "gates": gates,
         },
         pr_label="PR4",
     )
@@ -191,13 +230,17 @@ def measurements():
             },
         )
     )
-    report.write(BENCH_PATH)
+    written = all(gate["passed"] for gate in gates.values())
+    if written:
+        report.write(BENCH_PATH)
     return {
         "runs": runs,
         "best": best,
         "speedup": speedup,
         "clique_collected": clique_collected,
         "report": report,
+        "gates": gates,
+        "written": written,
     }
 
 
@@ -238,9 +281,13 @@ def test_synthetic_clique_collects(measurements):
 
 
 def test_bench_artifact_written(measurements):
-    assert BENCH_PATH.exists()
     import json
 
+    failed = [
+        name for name, gate in measurements["gates"].items()
+        if not gate["passed"]
+    ]
+    assert measurements["written"], f"artifact withheld: gates {failed} failed"
     payload = json.loads(BENCH_PATH.read_text())
     assert payload["schema"] == 1
     benchmarks = payload["benchmarks"]
@@ -253,3 +300,4 @@ def test_bench_artifact_written(measurements):
         assert entry["events_per_second"] > 0
     assert benchmarks["torture_batched"]["peak_pending_events"] > 0
     assert benchmarks["torture_batched"]["speedup_vs_per_event"] > 0
+    assert all(gate["passed"] for gate in payload["meta"]["gates"].values())

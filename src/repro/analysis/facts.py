@@ -5,7 +5,7 @@ in one place (``register_kind`` calls), *priced* in the wire-size
 manifest (``KIND_SIZE_SOURCES`` next to ``WireSizeModel``), *encoded*
 by the shard codec (``KIND_PAYLOAD_TYPES`` plus the tagged
 encode/decode branches) and *dispatched* by the node sink table
-(``_kind_handlers``/``dgc_sinks``).  This pass extracts each module's
+(``_kind_handlers``/``dgc_batch_sinks``).  This pass extracts each module's
 contribution from its AST — detection is content-based (a file counts
 as the registry because it calls ``register_kind``, not because of its
 path), so the same rules run unchanged over the real tree and over the

@@ -27,7 +27,7 @@ from repro.core.protocol import (
     process_response,
 )
 from repro.core.wire import DgcMessage, DgcResponse
-from repro.net.message import KIND_DGC_RESPONSE
+from repro.net.message import KIND_DGC_MESSAGE, KIND_DGC_RESPONSE
 from repro.runtime.activeobject import Activity
 from repro.runtime.proxy import Proxy, RemoteRef, StubTag
 from repro.sim.timers import PeriodicTimer
@@ -68,11 +68,13 @@ class DgcCollector:
         #: either way.
         self._receive_diet = config.batched_beats
         self.state.referencers.touch_skip = config.batched_beats
-        # Direct response lane (diet only): responses go straight into
-        # the fabric's fused DGC send unless the node has a response run
-        # open (an aggregate unwrap in progress — those must collect).
+        # Direct fabric lanes: broadcasts always, responses (diet only)
+        # unless the node has a response run open (an aggregate unwrap
+        # in progress — those must collect).
         self._net_send_single = self._node.network.send_dgc_single
+        self._net_send_run = self._node.network.send_dgc_run
         self._node_name = self._node.name
+        self._message_bytes = self._node.wire_sizes.dgc_message_bytes
         self._response_bytes = self._node.wire_sizes.dgc_response_bytes
         #: Current beat period; differs from ``config.ttb`` only when the
         #: dynamic-TTB extension (Sec. 7.1) accelerates the beat.
@@ -321,20 +323,29 @@ class DgcCollector:
             ref = record.ref
             group = by_node.get(ref.node)
             if group is None:
-                by_node[ref.node] = group = (ref, [], [])
-            group[1].append(ref.activity_id)
-            group[2].append(message)
+                by_node[ref.node] = group = ([], [])
+            group[0].append(ref.activity_id)
+            group[1].append(message)
             sent += 1
             record.messages_sent += 1
             record.needs_send = False
         if sent:
+            # A tick never runs inside an aggregate unwrap, so no node
+            # response run can be open: straight to the fabric lanes.
             self.messages_sent += sent
-            node = self._node
-            for dest_node, (ref, targets, messages) in by_node.items():
+            node_name = self._node_name
+            size = self._message_bytes
+            for dest_node, (targets, messages) in by_node.items():
                 if len(targets) == 1:
-                    node.send_dgc_message(ref, messages[0])
+                    self._net_send_single(
+                        node_name, dest_node, KIND_DGC_MESSAGE, size,
+                        targets[0], messages[0],
+                    )
                 else:
-                    node.send_dgc_messages(dest_node, targets, messages)
+                    self._net_send_run(
+                        node_name, dest_node, KIND_DGC_MESSAGE, size,
+                        targets, messages,
+                    )
         if self.state.referenced.pop_removable():
             self._remove_referenced(already_popped=True)
         if self.config.dynamic_ttb:

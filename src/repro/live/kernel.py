@@ -76,6 +76,9 @@ class LiveKernel:
             # virtual clock (the attribute doubles as the network
             # fabric's fast-clock handshake, exactly like SimKernel's).
             self._now = 0.0
+            # Single-threaded: fire-and-forget work goes straight onto
+            # the heap — no lock, no wakeup, no per-call mode branch.
+            self.schedule_fire_at = self._push_fire
         else:
             self._thread = threading.Thread(
                 target=self._loop, name="repro-live-kernel", daemon=True
@@ -175,16 +178,14 @@ class LiveKernel:
         """Mirror of :meth:`SimKernel.schedule_fire_at`: fire-and-forget
         work is pushed without allocating an :class:`Event`, honouring
         the documented event-less contract for never-cancelled
-        deliveries."""
-        if self._virtual:
-            self._push_fire(when, callback, args)
-            return
+        deliveries.  Threaded mode only: a virtual-time kernel binds
+        :meth:`_push_fire` in its place."""
         with self._wakeup:
             self._push_fire(when, callback, args)
             self._wakeup.notify()
 
     def _push_fire(
-        self, when: float, callback: Callable[..., None], args: tuple
+        self, when: float, callback: Callable[..., None], args: tuple = ()
     ) -> None:
         if self._shutdown:
             raise SimulationError("kernel is shut down")
@@ -320,6 +321,7 @@ class LiveKernel:
                 f"cannot advance backwards to {horizon} (now={self._now})"
             )
         heap = self._heap
+        heappop = heapq.heappop
         fired = 0
         while heap:
             head = heap[0]
@@ -327,9 +329,9 @@ class LiveKernel:
                 break
             event = head[2]
             if event is not None and event.cancelled:
-                heapq.heappop(heap)
+                heappop(heap)
                 continue
-            heapq.heappop(heap)
+            heappop(heap)
             self._pending -= 1
             if event is not None:
                 event.owner = None

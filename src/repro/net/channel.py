@@ -125,11 +125,14 @@ class FifoChannel:
         The clamp sequence (non-negative latency, non-decreasing
         delivery time, ``sent_count``) is deliberately duplicated in two
         hot lanes that cannot afford the callee frames:
-        :meth:`stage_send_n` below and the inlined block in
-        :meth:`repro.net.network.Network.send_dgc_single`.  A change
-        here must be mirrored in both — the bit-identical equivalence
-        across delivery cores depends on all three computing the same
-        delivery times and counters.
+        :meth:`stage_send_n` below (site-pair runs, local and
+        shard-remote) and the inlined block in
+        :meth:`repro.net.network.Network.send_dgc_single`, which every
+        DGC single shares — local pulse entries and shard-remote egress
+        rows alike.  A change here must be mirrored in both — the
+        bit-identical equivalence across delivery cores, and the
+        byte-identical wire stream across shards, depend on all three
+        computing the same delivery times and counters.
         """
         if latency < 0:
             latency = 0.0

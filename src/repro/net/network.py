@@ -49,6 +49,7 @@ records; see PERFORMANCE.md.)
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import NetworkError, UnknownDestinationError
@@ -84,6 +85,20 @@ _PULSE_POOL_CAP = 64
 def _drop_payload(payload: Any) -> None:
     """Shared no-op :attr:`Envelope.deliver` for fallback typed envelopes
     (dispatch happens through node sinks)."""
+
+
+class _Egress:
+    """One destination shard's staged cross-shard rows: the body of the
+    next wire frame to that shard, plus the two facts the coordinator
+    needs about it, tracked as rows are appended — whether any row is
+    application (non-DGC) traffic, and the earliest delivery instant."""
+
+    __slots__ = ("rows", "has_app", "min_delivery")
+
+    def __init__(self) -> None:
+        self.rows: List[tuple] = []
+        self.has_app = False
+        self.min_delivery = math.inf
 
 
 class _IngressChannel:
@@ -138,13 +153,17 @@ class Network:
         #: the envelope-free receive path of the unified fabric, one sink
         #: per node for *all* traffic kinds.
         self._typed_sinks: Dict[str, Callable[[str, Any, Any], None]] = {}
-        #: Per-node DGC receive lanes of the columnar core, keyed by
-        #: destination: single-message handlers ``(target, message)``
-        #: (skipping the typed sink's kind dispatch) and aggregate
-        #: unwrappers ``(targets, messages)`` looping the flat columns
-        #: locally.
-        self._dgc_message_sinks: Dict[str, Callable[[Any, Any], None]] = {}
-        self._dgc_response_sinks: Dict[str, Callable[[Any, Any], None]] = {}
+        #: DGC endpoint tables of the columnar core, one per kind:
+        #: activity id -> bound collector handler.  Single DGC entries
+        #: (local or injected) reach the collector with one probe here,
+        #: skipping the typed sink's kind dispatch; a miss falls back to
+        #: the destination's typed sink.  Nodes fill and prune them
+        #: (:meth:`repro.runtime.node.Node.register_collector`), and
+        #: their aggregate unwrappers probe them too.
+        self.dgc_message_endpoints: Dict[Any, Callable[[Any], None]] = {}
+        self.dgc_response_endpoints: Dict[Any, Callable[[Any], None]] = {}
+        #: Per-node aggregate unwrappers ``(targets, messages)`` looping
+        #: a site-pair run's flat columns locally.
         self._dgc_message_batch_sinks: Dict[str, Callable[[list, list], None]] = {}
         self._dgc_response_batch_sinks: Dict[str, Callable[[list, list], None]] = {}
         #: When true (the beat wheel is active), *all* deliveries are
@@ -201,11 +220,12 @@ class Network:
         #: that merged into an already-staged aggregate entry.
         self.aggregated_message_count = 0
         #: Shard-boundary egress (:meth:`configure_shard_egress`): the
-        #: set of topology nodes owned by *other* shards, the staging
-        #: buffer the coordinator round drains into wire frames, and the
-        #: ingress stand-in channel for injected remote entries.
-        self._egress_nodes: Optional[frozenset] = None
-        self.egress_buffer: List[tuple] = []
+        #: owning shard of every topology node on *another* shard, one
+        #: staging buffer per destination shard (drained into one wire
+        #: frame each per coordinator round), and the ingress stand-in
+        #: channel for injected remote entries.
+        self._egress_shards: Optional[Dict[str, int]] = None
+        self._egress: Dict[int, _Egress] = {}
         self.egress_message_count = 0
         self._ingress = _IngressChannel()
         self.injected_entry_count = 0
@@ -218,16 +238,15 @@ class Network:
         #: attribution of shared instants, not the event total, is the
         #: approximation).
         self.ingress_pulse_event_count = 0
-        #: Hot-path cache: source -> dest -> (sink, channel-or-None).
-        #: ``None`` channel means intra-node delivery.  Two nested
-        #: string-keyed dicts avoid building a key tuple per message.
-        #: Nodes only ever register (there is no unregister), so entries
-        #: never go stale; the cache is cleared on registration anyway
-        #: for hygiene.
-        self._routes: Dict[
-            str,
-            Dict[str, Tuple[Callable[[Envelope], None], Optional[FifoChannel]]],
-        ] = {}
+        #: Hot-path cache: source -> dest -> ``(sink, channel, dgc_fast)``
+        #: (see :meth:`_build_route`).  A ``None`` channel means
+        #: intra-node delivery; a ``None`` sink a shard-remote
+        #: destination, whose third slot is its shard's :class:`_Egress`
+        #: buffer instead of the flag.  Two nested string-keyed dicts
+        #: avoid building a key tuple per message.  Nodes only ever
+        #: register (there is no unregister), so entries never go stale;
+        #: the cache is cleared on registration anyway for hygiene.
+        self._routes: Dict[str, Dict[str, tuple]] = {}
 
     @property
     def topology(self) -> Topology:
@@ -242,8 +261,8 @@ class Network:
         node: str,
         sink: Callable[[Envelope], None],
         typed_sink: Optional[Callable[[str, Any, Any], None]] = None,
-        dgc_sinks: Optional[
-            Dict[str, Tuple[Callable[[Any, Any], None], Callable[[list, list], None]]]
+        dgc_batch_sinks: Optional[
+            Dict[str, Callable[[list, list], None]]
         ] = None,
     ) -> None:
         """Attach a node's receive dispatchers to the fabric.
@@ -251,21 +270,19 @@ class Network:
         ``typed_sink`` is the envelope-free entry point for pulse-batched
         traffic of every kind; nodes that do not provide one fall back to
         the per-envelope path even when batching is enabled.
-        ``dgc_sinks`` maps a DGC kind to its ``(single, batch)`` handler
-        pair — the columnar core's direct receive lanes; without them
-        DGC traffic for this node rides the typed sink like every other
-        kind.
+        ``dgc_batch_sinks`` maps a DGC kind to its aggregate unwrapper —
+        without both, site-pair runs for this node are sent message by
+        message.  Single DGC entries go through the endpoint tables
+        (:attr:`dgc_message_endpoints`), then the typed sink.
         """
         self._sinks[node] = sink
         if typed_sink is not None:
             self._typed_sinks[node] = typed_sink
-        if dgc_sinks:
-            for kind, (single, batch) in dgc_sinks.items():
+        if dgc_batch_sinks:
+            for kind, batch in dgc_batch_sinks.items():
                 if kind == KIND_DGC_MESSAGE:
-                    self._dgc_message_sinks[node] = single
                     self._dgc_message_batch_sinks[node] = batch
                 elif kind == KIND_DGC_RESPONSE:
-                    self._dgc_response_sinks[node] = single
                     self._dgc_response_batch_sinks[node] = batch
         self._routes.clear()
 
@@ -273,28 +290,37 @@ class Network:
         """Upper bound on one-way communication time (MaxComm, Sec. 3.1)."""
         return self._topology.max_one_way_latency()
 
-    def configure_shard_egress(self, local_nodes) -> None:
-        """Mark every topology node outside ``local_nodes`` as living on
-        a remote shard: traffic for those destinations is *staged at
-        send time* exactly as local traffic (the directed
+    def configure_shard_egress(self, remote_shards: Dict[str, int]) -> None:
+        """Mark every node of ``remote_shards`` (node -> owning shard)
+        as living on a remote shard: traffic for those destinations is
+        *staged at send time* exactly as local traffic (the directed
         :class:`FifoChannel` lives wholly on the sender's shard, so the
         FIFO clamp and the accountant see the send here and only here),
         but instead of entering the local pulse the
-        ``(delivery_time, dest, kind, item, payload)`` columns land in
-        :attr:`egress_buffer` — the literal content of the next wire
-        frame (:mod:`repro.net.wire`).  Requires the batched pulse core;
-        the per-event envelope path raises on shard-remote destinations
-        (see :meth:`send`)."""
-        self._egress_nodes = frozenset(self._topology.nodes) - frozenset(
-            local_nodes
-        )
+        ``(delivery_time, dest, kind, item, payload)`` row lands in the
+        destination shard's egress buffer — the literal content of the
+        next wire frame to that shard (:mod:`repro.net.wire`).  Requires
+        the batched pulse core; the per-event envelope path raises on
+        shard-remote destinations (see :meth:`send`)."""
+        self._egress_shards = dict(remote_shards)
+        self._egress = {
+            shard: _Egress() for shard in sorted(set(remote_shards.values()))
+        }
         self._routes.clear()
 
-    def drain_egress(self) -> List[tuple]:
-        """Detach and return the staged cross-shard entries (the frame
-        body for this round), oldest first."""
-        drained = self.egress_buffer
-        self.egress_buffer = []
+    def drain_egress(self) -> List[Tuple[int, List[tuple], bool, float]]:
+        """Detach this round's staged cross-shard rows: one
+        ``(dest_shard, rows, has_app, min_delivery)`` tuple per shard
+        with traffic, by shard, rows oldest first."""
+        drained = []
+        for shard, egress in self._egress.items():
+            if egress.rows:
+                drained.append(
+                    (shard, egress.rows, egress.has_app, egress.min_delivery)
+                )
+                egress.rows = []
+                egress.has_app = False
+                egress.min_delivery = math.inf
         return drained
 
     def inject_remote_entries(self, entries) -> None:
@@ -307,20 +333,42 @@ class Network:
         rather than silently reordering.  No accounting happens here:
         the sending shard already charged the traffic (the merged
         accountant is the sum over shards).
+
+        A frame's entries come grouped by delivery instant, so a run of
+        entries sharing one is appended straight onto that pulse's list.
+        A one-row DGC block is staged as a plain single entry: the fire
+        loop hands it to the collector's endpoint, whose response then
+        leaves on its direct lane, as for a local single.
         """
         kernel = self._kernel
         now = kernel._now if self._fast_clock else kernel.now
         ingress = self._ingress
-        stage = self._stage
+        pulses = self._pulses
         pulses_before = self.pulse_event_count
+        batch: list = []
+        batch_time = None
         for delivery, dest, kind, item, payload in entries:
-            if delivery < now:
-                raise NetworkError(
-                    f"late cross-shard entry: delivery {delivery} is "
-                    f"before local time {now} (lookahead violated)"
+            if delivery != batch_time:
+                if delivery < now:
+                    raise NetworkError(
+                        f"late cross-shard entry: delivery {delivery} is "
+                        f"before local time {now} (lookahead violated)"
+                    )
+                batch = pulses.get(delivery)
+                if batch is None:
+                    batch = self._open_pulse(delivery)
+                batch_time = delivery
+            if (
+                kind is _AGG_DGC_MESSAGE or kind is _AGG_DGC_RESPONSE
+            ) and len(item) == 1:
+                kind = (
+                    KIND_DGC_MESSAGE if kind is _AGG_DGC_MESSAGE
+                    else KIND_DGC_RESPONSE
                 )
-            stage(delivery, (ingress, None, dest, kind, item, payload))
-            self.injected_entry_count += 1
+                item = item[0]
+                payload = payload[0]
+            batch.append((ingress, None, dest, kind, item, payload))
+        self.injected_entry_count += len(entries)
         self.ingress_pulse_event_count += (
             self.pulse_event_count - pulses_before
         )
@@ -377,9 +425,12 @@ class Network:
             # next wire frame instead of the local pulse.
             delivery_time = channel.stage_send()
             self.accountant.observe_sized(kind, size_bytes, channel.pair)
-            self.egress_buffer.append(
-                (delivery_time, dest, kind, item, payload)
-            )
+            egress = route[2]
+            egress.rows.append((delivery_time, dest, kind, item, payload))
+            if delivery_time < egress.min_delivery:
+                egress.min_delivery = delivery_time
+            if not kind.startswith("dgc."):
+                egress.has_app = True
             self.egress_message_count += 1
             return
         if channel is None:
@@ -435,7 +486,8 @@ class Network:
         payload: Any,
     ) -> None:
         """Fused DGC send lane of the columnar core: one frame from the
-        node to the staged pulse entry.
+        node to the staged pulse entry — or, for a shard-remote
+        destination, to the egress row.
 
         Equivalent to :meth:`send_typed` — same route/partition/fallback
         semantics, same accounting, same FIFO reservation — plus the
@@ -444,6 +496,9 @@ class Network:
         joins its flat ``(target_id, message)`` columns instead of
         adding an entry.  Merging only ever extends the *tail*, so the
         global delivery sequence equals per-message stage order exactly.
+        Egress rows never merge: the frame codec groups them into
+        blocks, so the wire carries exactly what :meth:`send_typed`
+        would have staged.
         """
         if not self.pulse_batching:
             self.send_typed(source, dest, kind, size_bytes, item, payload)
@@ -457,6 +512,8 @@ class Network:
             fault_plan.dropped_count += 1
             return
         channel = route[1]
+        # ``route[2]`` is the dgc_fast flag, or a shard-remote route's
+        # (always truthy) egress buffer.
         if not route[2] or (
             channel._delay_rules
             and self.fault_plan.may_delay(source, dest, kind)
@@ -494,24 +551,22 @@ class Network:
         if box is None:
             channel.acct_box = box = acct.pair_box(channel.pair)
         box[0] += size_bytes
+        if route[0] is None:
+            egress = route[2]
+            egress.rows.append((delivery_time, dest, kind, item, payload))
+            if delivery_time < egress.min_delivery:
+                egress.min_delivery = delivery_time
+            self.egress_message_count += 1
+            return
         if delivery_time == self._last_pulse_time:
             entries = self._last_pulse
         else:
-            pulses = self._pulses
-            entries = pulses.get(delivery_time)
+            entries = self._pulses.get(delivery_time)
+            self._last_pulse_time = delivery_time
             if entries is None:
-                pool = self._pulse_pool
-                entries = pool.pop() if pool else []
-                pulses[delivery_time] = entries
-                self._kernel.schedule_fire_at(
-                    delivery_time, self._fire_pulse_columnar, (delivery_time,)
-                )
-                self.pulse_event_count += 1
-                self._last_pulse_time = delivery_time
-                self._last_pulse = entries
+                self._last_pulse = entries = self._open_pulse(delivery_time)
                 entries.append((channel, None, dest, kind, item, payload))
                 return
-            self._last_pulse_time = delivery_time
             self._last_pulse = entries
         last = entries[-1]
         if last[0] is channel:
@@ -592,9 +647,12 @@ class Network:
             # survives the process boundary.
             delivery_time = channel.stage_send_n(count)
             self.accountant.observe_run(kind, size_bytes, channel.pair, count)
-            self.egress_buffer.append(
+            egress = route[2]
+            egress.rows.append(
                 (delivery_time, dest, agg_kind, targets, messages)
             )
+            if delivery_time < egress.min_delivery:
+                egress.min_delivery = delivery_time
             self.egress_message_count += count
             self.aggregated_message_count += count - 1
             return
@@ -615,24 +673,15 @@ class Network:
         if delivery_time == self._last_pulse_time:
             entries = self._last_pulse
         else:
-            pulses = self._pulses
-            entries = pulses.get(delivery_time)
+            entries = self._pulses.get(delivery_time)
+            self._last_pulse_time = delivery_time
             if entries is None:
-                pool = self._pulse_pool
-                entries = pool.pop() if pool else []
-                pulses[delivery_time] = entries
-                self._kernel.schedule_fire_at(
-                    delivery_time, self._fire_pulse_columnar, (delivery_time,)
-                )
-                self.pulse_event_count += 1
-                self._last_pulse_time = delivery_time
-                self._last_pulse = entries
+                self._last_pulse = entries = self._open_pulse(delivery_time)
                 entries.append(
                     (channel, None, dest, agg_kind, targets, messages)
                 )
                 self.aggregated_message_count += count - 1
                 return
-            self._last_pulse_time = delivery_time
             self._last_pulse = entries
         last = entries[-1]
         if last[0] is channel:
@@ -734,20 +783,23 @@ class Network:
     # ------------------------------------------------------------------
 
     def _stage(self, delivery_time: float, entry: tuple) -> None:
-        """Append one delivery to the pulse for ``delivery_time``,
-        creating its (single) kernel event on first use from a recycled
-        pulse record."""
-        pulses = self._pulses
-        batch = pulses.get(delivery_time)
+        """Append one delivery to the pulse for ``delivery_time``."""
+        batch = self._pulses.get(delivery_time)
         if batch is None:
-            pool = self._pulse_pool
-            batch = pool.pop() if pool else []
-            pulses[delivery_time] = batch
-            self._kernel.schedule_fire_at(
-                delivery_time, self._fire_pulse_columnar, (delivery_time,)
-            )
-            self.pulse_event_count += 1
+            batch = self._open_pulse(delivery_time)
         batch.append(entry)
+
+    def _open_pulse(self, delivery_time: float) -> list:
+        """Open the pulse for ``delivery_time`` from a recycled record
+        and schedule its (single) kernel event."""
+        pool = self._pulse_pool
+        batch = pool.pop() if pool else []
+        self._pulses[delivery_time] = batch
+        self._kernel.schedule_fire_at(
+            delivery_time, self._fire_pulse_columnar, (delivery_time,)
+        )
+        self.pulse_event_count += 1
+        return batch
 
     def _fire_pulse_columnar(self, delivery_time: float) -> None:
         """Deliver every entry staged for ``delivery_time``, in stage
@@ -756,7 +808,7 @@ class Network:
         One tight loop with every per-entry lookup bound to a local:
         aggregate entries cost one batch-sink call per *run* (the
         destination loops the flat columns itself), plain DGC entries
-        dispatch straight to their single-message lane (no typed-sink
+        dispatch straight to their collector endpoint (no typed-sink
         kind dispatch), and typed and envelope entries go through their
         sinks (cross-node ones re-resolved at delivery, like
         :meth:`_dispatch`).  Handlers running inside the loop may stage
@@ -776,8 +828,8 @@ class Network:
         typed_get = self._typed_sinks.get
         msg_batch_get = self._dgc_message_batch_sinks.get
         resp_batch_get = self._dgc_response_batch_sinks.get
-        msg_single_get = self._dgc_message_sinks.get
-        resp_single_get = self._dgc_response_sinks.get
+        msg_endpoint_get = self.dgc_message_endpoints.get
+        resp_endpoint_get = self.dgc_response_endpoints.get
         dispatch = self._dispatch
         fault_plan = self.fault_plan
         # Branches ordered by frequency at scale: single DGC entries
@@ -786,15 +838,15 @@ class Network:
         for channel, sink, dest, kind, item, payload in entries:
             if kind is KIND_DGC_MESSAGE and channel is not None:
                 channel.delivered_count += 1
-                handler = msg_single_get(dest)
+                handler = msg_endpoint_get(item)
                 if handler is not None:
-                    handler(item, payload)
+                    handler(payload)
                     continue
             elif kind is KIND_DGC_RESPONSE and channel is not None:
                 channel.delivered_count += 1
-                handler = resp_single_get(dest)
+                handler = resp_endpoint_get(item)
                 if handler is not None:
-                    handler(item, payload)
+                    handler(payload)
                     continue
             elif kind is _AGG_DGC_MESSAGE:
                 channel.delivered_count += len(item)
@@ -841,25 +893,29 @@ class Network:
 
     def _build_route(
         self, source: str, dest: str
-    ) -> Tuple[Callable[[Envelope], None], Optional[FifoChannel], bool]:
+    ) -> Tuple[Optional[Callable[[Envelope], None]], Optional[FifoChannel], Any]:
         """Resolve and cache ``(sink, channel, dgc_fast)`` for a pair.
 
         ``dgc_fast`` precomputes the fused-DGC-lane eligibility checks
         that cannot change while the route cache is valid (constant
-        latency, typed and DGC sinks registered); the cache is cleared
-        on every registration.  Fault-plan delay rules are the one live
-        condition and stay checked per send.
+        latency, typed and DGC batch sinks registered); the cache is
+        cleared on every registration.  Fault-plan delay rules are the
+        one live condition and stay checked per send.
         """
         sink = self._sinks.get(dest)
         if sink is None:
-            egress_nodes = self._egress_nodes
-            if egress_nodes is not None and dest in egress_nodes:
+            egress_shards = self._egress_shards
+            if egress_shards is not None and dest in egress_shards:
                 # Shard-remote destination: no sink (the node lives in
                 # another process), a real sender-side channel (FIFO
-                # clamp + accounting happen here), never dgc_fast (the
-                # fused lane's tail-merge targets the local pulse; runs
-                # take the dedicated egress branch instead).
-                route = (None, self._channel(source, dest), False)
+                # clamp + accounting happen here), and the destination
+                # shard's egress buffer in the third slot, where every
+                # send lane appends its row.
+                route = (
+                    None,
+                    self._channel(source, dest),
+                    self._egress[egress_shards[dest]],
+                )
                 self._routes.setdefault(source, {})[dest] = route
                 return route
             raise UnknownDestinationError(f"node {dest!r} is not registered")

@@ -75,15 +75,15 @@ class Node:
         # traffic.)
         self._dgc_message_bytes = self.wire_sizes.dgc_message_bytes
         self._dgc_response_bytes = self.wire_sizes.dgc_response_bytes
-        #: Direct DGC dispatch tables: activity id -> bound collector
-        #: handler, maintained by :meth:`register_collector` and the
-        #: termination hook.  The columnar core's receive lanes hit
-        #: these with one dict probe instead of activity lookup +
+        #: The fabric's DGC endpoint tables (activity id -> bound
+        #: collector handler), maintained by :meth:`register_collector`
+        #: and the termination hook.  The columnar core's receive lanes
+        #: hit these with one dict probe instead of activity lookup +
         #: collector null-checks per message; a miss falls back to the
         #: full lookup (collectors attached outside the world's create
         #: path are never registered here).
-        self._dgc_message_targets: Dict[Any, Callable[[Any], None]] = {}
-        self._dgc_response_targets: Dict[Any, Callable[[Any], None]] = {}
+        self._message_endpoints = self.network.dgc_message_endpoints
+        self._response_endpoints = self.network.dgc_response_endpoints
         #: Open response run, active only while an aggregate DGC batch is
         #: being unwrapped: ``[dest_node | None, targets, responses]``.
         #: Responses produced inside the unwrap loop collect here (in
@@ -108,11 +108,9 @@ class Node:
             name,
             self._on_envelope,
             self._on_typed,
-            dgc_sinks={
-                KIND_DGC_MESSAGE: (self._on_dgc_message, self._on_dgc_messages),
-                KIND_DGC_RESPONSE: (
-                    self._on_dgc_response, self._on_dgc_responses,
-                ),
+            dgc_batch_sinks={
+                KIND_DGC_MESSAGE: self._on_dgc_messages,
+                KIND_DGC_RESPONSE: self._on_dgc_responses,
             },
         )
 
@@ -135,21 +133,21 @@ class Node:
         return self.activities.get(activity_id)
 
     def register_collector(self, activity: Activity) -> None:
-        """Expose ``activity``'s collector on the direct DGC dispatch
+        """Expose ``activity``'s collector on the fabric's DGC endpoint
         tables (any collector duck-typing ``on_dgc_message`` /
         ``on_dgc_response`` — the paper's and the baselines')."""
         collector = activity.collector
         handler = getattr(collector, "on_dgc_message", None)
         if handler is not None:
-            self._dgc_message_targets[activity.id] = handler
+            self._message_endpoints[activity.id] = handler
         handler = getattr(collector, "on_dgc_response", None)
         if handler is not None:
-            self._dgc_response_targets[activity.id] = handler
+            self._response_endpoints[activity.id] = handler
 
     def on_activity_terminated(self, activity: Activity, reason: str) -> None:
         self.activities.pop(activity.id, None)
-        self._dgc_message_targets.pop(activity.id, None)
-        self._dgc_response_targets.pop(activity.id, None)
+        self._message_endpoints.pop(activity.id, None)
+        self._response_endpoints.pop(activity.id, None)
         if self.tracer.enabled:
             self.tracer.record(
                 self.kernel.now, "activity.terminated", activity.id, reason=reason
@@ -255,27 +253,6 @@ class Node:
             size,
             target_ref.activity_id,
             message,
-        )
-
-    def send_dgc_messages(
-        self, dest_node: str, targets: list, messages: list
-    ) -> None:
-        """Send one collector broadcast's fan-out to ``dest_node`` as a
-        site-pair run: parallel ``(target activity id, message)`` columns
-        in send order, one fabric call for the whole group.
-
-        The fabric stages the run as a single aggregate pulse entry in
-        the columnar core and falls back to per-message
-        :meth:`send_dgc_message` semantics (same order, same accounting)
-        everywhere else, so the grouping is a pure dispatch optimisation.
-        """
-        self.network.send_dgc_run(
-            self.name,
-            dest_node,
-            KIND_DGC_MESSAGE,
-            self._dgc_message_bytes,
-            targets,
-            messages,
         )
 
     def send_dgc_response(self, target_ref: RemoteRef, response: Any) -> None:
@@ -478,8 +455,8 @@ class Node:
         self, activity_id: ActivityId, message: Any
     ) -> None:
         """Typed-sink DGC delivery (activity lookup per message): the
-        receive path of the per-event reference and of the typed and
-        envelope fallbacks."""
+        receive path of the per-event reference, of the typed and
+        envelope fallbacks and of endpoint-table misses."""
         activity = self.activities.get(activity_id)
         if activity is None or activity.collector is None:
             # Referenced activity already collected/terminated: silence.
@@ -494,22 +471,6 @@ class Node:
             return
         activity.collector.on_dgc_response(response)
 
-    def _on_dgc_message(self, activity_id: ActivityId, message: Any) -> None:
-        """Single-message DGC lane of the columnar core: one dispatch
-        table probe to the bound collector handler."""
-        handler = self._dgc_message_targets.get(activity_id)
-        if handler is not None:
-            handler(message)
-            return
-        self._on_dgc_message_via_lookup(activity_id, message)
-
-    def _on_dgc_response(self, activity_id: ActivityId, response: Any) -> None:
-        handler = self._dgc_response_targets.get(activity_id)
-        if handler is not None:
-            handler(response)
-            return
-        self._on_dgc_response_via_lookup(activity_id, response)
-
     # -- aggregate unwrappers (the fabric's batch sinks) ----------------
     #
     # One call per site-pair run instead of one typed dispatch per
@@ -518,7 +479,7 @@ class Node:
     # which is send order, so per-channel FIFO is untouched.
 
     def _on_dgc_messages(self, targets: list, messages: list) -> None:
-        targets_get = self._dgc_message_targets.get
+        targets_get = self._message_endpoints.get
         self._response_run = run = [None, [], []]
         try:
             for activity_id, message in zip(targets, messages):
@@ -539,7 +500,7 @@ class Node:
             )
 
     def _on_dgc_responses(self, targets: list, responses: list) -> None:
-        targets_get = self._dgc_response_targets.get
+        targets_get = self._response_endpoints.get
         for activity_id, response in zip(targets, responses):
             handler = targets_get(activity_id)
             if handler is not None:

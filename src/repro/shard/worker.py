@@ -124,7 +124,10 @@ def build_shard_world(spec: WorkerSpec, kernel=None) -> Tuple[World, ShardEnv]:
         kernel=kernel,
         local_nodes=local,
     )
-    world.network.configure_shard_egress(local)
+    world.network.configure_shard_egress({
+        node: spec.plan.shard_of(node)
+        for node in spec.plan.node_names if node not in local
+    })
     try:
         builder = SHARD_WORKLOADS[spec.workload]
     except KeyError:
@@ -155,29 +158,21 @@ def _pack_egress(
     ``min_delivery`` feeds the bid the destination's next horizon is
     computed from, and ``n_entries`` — the wire rows the frame decodes
     to, one per DGC block — feeds the coordinator's bytes-per-entry
-    accounting without decoding the frame.
+    accounting without decoding the frame.  The fabric keys its egress
+    by destination shard and tracks both flags as rows are staged, so
+    this only packs.
 
     ``encoders`` holds one persistent :class:`ChannelEncoder` per
     destination shard: this worker's frames to a given peer form one
     ordered channel, so recurring ids and messages are intern indices
     into the channel's cross-frame tables.
     """
-    entries = world.network.drain_egress()
-    if not entries:
-        return []
-    plan = spec.plan
-    groups: Dict[int, List[tuple]] = {}
-    for entry in entries:
-        groups.setdefault(plan.shard_of(entry[1]), []).append(entry)
     frames = []
-    for dest in sorted(groups):
-        group = groups[dest]
-        has_app = any(not e[2].startswith("dgc.") for e in group)
-        min_delivery = min(e[0] for e in group)
+    for dest, rows, has_app, min_delivery in world.network.drain_egress():
         channel = encoders.get(dest)
         if channel is None:
             encoders[dest] = channel = ChannelEncoder()
-        buf = pack_frame(spec.shard, next(seq), group, node_index, channel)
+        buf = pack_frame(spec.shard, next(seq), rows, node_index, channel)
         frames.append(
             (dest, has_app, min_delivery, frame_entry_count(buf), buf)
         )

@@ -53,13 +53,9 @@ def build_network(fault_plan=None, received=None):
 
     def register(name):
         def typed_sink(kind, item, payload, _name=name):
+            # Also the single DGC entries' lane: no collector endpoints
+            # are registered here.
             received.append((_name, kind, item))
-
-        def single(target, message, _name=name, _kind=KIND_DGC_MESSAGE):
-            received.append((_name, _kind, target))
-
-        def single_resp(target, message, _name=name):
-            received.append((_name, KIND_DGC_RESPONSE, target))
 
         def batch(targets, messages, _name=name):
             for target in targets:
@@ -76,9 +72,9 @@ def build_network(fault_plan=None, received=None):
                  if isinstance(env.payload, tuple) else env.payload)
             ),
             typed_sink,
-            dgc_sinks={
-                KIND_DGC_MESSAGE: (single, batch),
-                KIND_DGC_RESPONSE: (single_resp, batch_resp),
+            dgc_batch_sinks={
+                KIND_DGC_MESSAGE: batch,
+                KIND_DGC_RESPONSE: batch_resp,
             },
         )
 

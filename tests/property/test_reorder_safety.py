@@ -211,10 +211,10 @@ def fabric():
     deliveries = []
 
     def register(node):
-        def single(kind):
-            return lambda item, payload: deliveries.append(
-                (kernel.now, "peer", node, kind, item)
-            )
+        def single(kind, item, payload):
+            # No collector endpoints: single DGC entries reach the
+            # typed sink.
+            deliveries.append((kernel.now, "peer", node, kind, item))
 
         def batch(kind):
             def handler(targets, messages):
@@ -224,12 +224,10 @@ def fabric():
             return handler
 
         network.register_node(
-            node, lambda env: None, lambda kind, item, payload: None,
-            dgc_sinks={
-                KIND_DGC_MESSAGE: (single(KIND_DGC_MESSAGE),
-                                   batch(KIND_DGC_MESSAGE)),
-                KIND_DGC_RESPONSE: (single(KIND_DGC_RESPONSE),
-                                    batch(KIND_DGC_RESPONSE)),
+            node, lambda env: None, single,
+            dgc_batch_sinks={
+                KIND_DGC_MESSAGE: batch(KIND_DGC_MESSAGE),
+                KIND_DGC_RESPONSE: batch(KIND_DGC_RESPONSE),
             },
         )
 

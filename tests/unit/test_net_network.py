@@ -272,20 +272,19 @@ def make_aggregated_network(node_count=3):
         name = f"site-{index}"
 
         def typed_sink(kind, item, payload, _name=name):
-            typed.append((_name, kind, item, payload))
-
-        def single(target, message, _name=name):
-            singles.append((_name, target, message))
+            # No collector endpoints are registered here, so single DGC
+            # entries fall back to the typed sink: record them apart.
+            if kind.startswith("dgc."):
+                singles.append((_name, item, payload))
+            else:
+                typed.append((_name, kind, item, payload))
 
         def batch(targets, messages, _name=name):
             batches.append((_name, list(targets), list(messages)))
 
         network.register_node(
             name, lambda env: None, typed_sink,
-            dgc_sinks={
-                KIND_DGC_MESSAGE: (single, batch),
-                "dgc.response": (single, batch),
-            },
+            dgc_batch_sinks={KIND_DGC_MESSAGE: batch, "dgc.response": batch},
         )
     return kernel, network, typed, singles, batches
 
@@ -314,21 +313,21 @@ def test_interleaved_traffic_breaks_the_run_and_keeps_order():
     kernel, network, typed, singles, batches = make_aggregated_network()
     message = object()
     order = []
-    # Re-register site-1 sinks that record global arrival order.
+    # Re-register site-1 sinks that record global arrival order; "a"
+    # has a collector endpoint, so its single entry skips the typed sink.
     network.register_node(
         "site-1", lambda env: None,
         lambda kind, item, payload: order.append(("typed", item)),
-        dgc_sinks={
-            KIND_DGC_MESSAGE: (
-                lambda t, m: order.append(("single", t)),
-                lambda ts, ms: order.extend(("batch", t) for t in ts),
+        dgc_batch_sinks={
+            KIND_DGC_MESSAGE: lambda ts, ms: order.extend(
+                ("batch", t) for t in ts
             ),
-            "dgc.response": (
-                lambda t, m: order.append(("single", t)),
-                lambda ts, ms: order.extend(("batch", t) for t in ts),
+            "dgc.response": lambda ts, ms: order.extend(
+                ("batch", t) for t in ts
             ),
         },
     )
+    network.dgc_message_endpoints["a"] = lambda m: order.append(("single", "a"))
     network.send_dgc_single("site-0", "site-1", KIND_DGC_MESSAGE, 64, "a", message)
     network.send_typed("site-0", "site-1", KIND_APP_REQUEST, 10, "req")
     network.send_dgc_single("site-0", "site-1", KIND_DGC_MESSAGE, 64, "b", message)
@@ -365,11 +364,8 @@ def test_send_dgc_run_falls_back_per_message_without_aggregation():
     network.register_node(
         "site-1", envelopes.append,
         lambda kind, item, payload: typed.append(("site-1", kind, item, payload)),
-        dgc_sinks={
-            KIND_DGC_MESSAGE: (
-                lambda t, m: singles.append(("site-1", t, m)),
-                lambda ts, ms: batches.append(("site-1", ts, ms)),
-            ),
+        dgc_batch_sinks={
+            KIND_DGC_MESSAGE: lambda ts, ms: batches.append(("site-1", ts, ms)),
         },
     )
     network.send_dgc_run(
@@ -392,15 +388,11 @@ def test_send_dgc_single_respects_partitions_and_counts_drops():
     received = []
     network.register_node(
         "site-0", lambda env: None, lambda *a: None,
-        dgc_sinks={KIND_DGC_MESSAGE: (lambda t, m: None, lambda ts, ms: None)},
+        dgc_batch_sinks={KIND_DGC_MESSAGE: lambda ts, ms: None},
     )
     network.register_node(
         "site-1", lambda env: None, lambda *a: received.append(a),
-        dgc_sinks={
-            KIND_DGC_MESSAGE: (
-                lambda t, m: received.append(t), lambda ts, ms: None
-            ),
-        },
+        dgc_batch_sinks={KIND_DGC_MESSAGE: lambda ts, ms: received.extend(ts)},
     )
     plan.partition("site-0", "site-1")
     network.send_dgc_single("site-0", "site-1", KIND_DGC_MESSAGE, 64, "a", "m")
@@ -426,3 +418,91 @@ def test_aggregated_pulse_records_are_pooled_and_recycled():
     assert network._pulse_pool == []
     assert len(network._pulses) == 1 and next(iter(network._pulses.values())) is recycled
     kernel.run()
+
+
+# ----------------------------------------------------------------------
+# Shard-remote destinations (the egress lanes)
+# ----------------------------------------------------------------------
+
+
+def make_sharded_network(fault_plan=None):
+    """site-0 is local; site-1 and site-2 live on shard 1."""
+    kernel, network = make_network(3, fault_plan=fault_plan)
+    network.pulse_batching = True
+    network.register_node("site-0", lambda env: None, lambda *a: None)
+    network.configure_shard_egress({"site-1": 1, "site-2": 1})
+    return kernel, network
+
+
+def drive_remote_sends(send_dgc):
+    """One fixed script: DGC singles of both kinds to two remote nodes
+    and an app request, at two instants."""
+    kernel, network = make_sharded_network()
+    send = network.send_dgc_single if send_dgc else network.send_typed
+    send("site-0", "site-1", KIND_DGC_MESSAGE, 64, "ao-1", "beat")
+    send("site-0", "site-2", "dgc.response", 48, "ao-2", "answer")
+    network.send_typed("site-0", "site-1", KIND_APP_REQUEST, 10, "req")
+    kernel.schedule_at(
+        1.0, send, "site-0", "site-1", KIND_DGC_MESSAGE, 64, "ao-3", "beat"
+    )
+    kernel.run()
+    return network
+
+
+def test_shard_remote_dgc_single_matches_send_typed():
+    fused = drive_remote_sends(send_dgc=True)
+    typed = drive_remote_sends(send_dgc=False)
+    for network in (fused, typed):
+        assert network.egress_message_count == 4
+        assert network.staged_entry_count == 0  # nothing entered a pulse
+    assert fused.drain_egress() == typed.drain_egress() == [(
+        1,
+        [
+            (0.005, "site-1", KIND_DGC_MESSAGE, "ao-1", "beat"),
+            (0.005, "site-2", "dgc.response", "ao-2", "answer"),
+            (0.005, "site-1", KIND_APP_REQUEST, "req", None),
+            (1.005, "site-1", KIND_DGC_MESSAGE, "ao-3", "beat"),
+        ],
+        True,
+        0.005,
+    )]
+    for pair in (("site-0", "site-1"), ("site-0", "site-2")):
+        assert (
+            fused._channels[pair].sent_count
+            == typed._channels[pair].sent_count
+        )
+        assert fused.accountant.pair_bytes(pair) == typed.accountant.pair_bytes(
+            pair
+        )
+    for kind in (KIND_DGC_MESSAGE, "dgc.response", KIND_APP_REQUEST):
+        assert fused.accountant.messages_for(kind) == (
+            typed.accountant.messages_for(kind)
+        )
+        assert fused.accountant.bytes_for(kind) == typed.accountant.bytes_for(
+            kind
+        )
+    # Drained: the next round starts empty.
+    assert fused.drain_egress() == []
+
+
+def test_dgc_only_egress_is_not_flagged_as_app_traffic():
+    kernel, network = make_sharded_network()
+    network.send_dgc_run(
+        "site-0", "site-1", KIND_DGC_MESSAGE, 64, ["a", "b"], ["m", "m"]
+    )
+    network.send_dgc_single("site-0", "site-2", KIND_DGC_MESSAGE, 64, "c", "m")
+    [(shard, rows, has_app, min_delivery)] = network.drain_egress()
+    assert (shard, has_app, min_delivery) == (1, False, 0.005)
+    assert [row[2] for row in rows] == ["dgc.message[]", KIND_DGC_MESSAGE]
+
+
+def test_shard_remote_dgc_single_respects_partitions():
+    plan = FaultPlan()
+    kernel, network = make_sharded_network(fault_plan=plan)
+    plan.partition("site-0", "site-1")
+    network.send_dgc_single("site-0", "site-1", KIND_DGC_MESSAGE, 64, "a", "m")
+    assert plan.dropped_count == 1
+    assert network.drain_egress() == []
+    assert network.egress_message_count == 0
+    assert network.accountant.total_bytes == 0
+    assert network._channels[("site-0", "site-1")].sent_count == 0

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import NoSuchActivityError, RuntimeModelError
 from repro.runtime.behaviors import Behavior, SinkBehavior
+from repro.runtime.ids import reset_id_counter
 
 
 class Echo(Behavior):
@@ -110,3 +111,76 @@ def test_request_refs_are_deserialized_for_receiver(world):
     receiver_activity = world.find_activity(receiver.activity_id)
     assert receiver_activity.proxies.holds(passed.activity_id)
     assert held["proxy"].node == "site-2"
+
+
+# ----------------------------------------------------------------------
+# Cross-shard ingress: one-row DGC blocks ride the single lane
+# ----------------------------------------------------------------------
+
+
+def _ingress_world(make_world):
+    """A world whose site-1 hosts one collected activity, referenced
+    from an activity on site-0; returns the world, both activities and
+    the heartbeat site-0's activity would send."""
+    from repro.core.wire import DgcMessage
+
+    world = make_world(2)
+    driver = world.create_driver(node="site-0")
+    target = world.find_activity(
+        driver.context.create(SinkBehavior(), node="site-1", name="t")
+        .activity_id
+    )
+    collector = driver.collector
+    message = DgcMessage(
+        sender=driver.id,
+        clock=collector.state.clock,
+        consensus=False,
+        sender_ref=collector.self_ref,
+    )
+    return world, driver, target, message
+
+
+def _response_traffic(world):
+    from repro.net.message import KIND_DGC_RESPONSE
+
+    accountant = world.accountant
+    return (
+        accountant.messages_for(KIND_DGC_RESPONSE),
+        accountant.bytes_for(KIND_DGC_RESPONSE),
+        accountant.pair_bytes(("site-1", "site-0")),
+        world.network._channels[("site-1", "site-0")].sent_count,
+    )
+
+
+def test_one_row_ingress_block_rides_the_single_lane(make_world):
+    from repro.net.kinds import AGGREGATE_KINDS, KIND_DGC_MESSAGE
+
+    world, driver, target, message = _ingress_world(make_world)
+    network = world.network
+    lanes = []
+    handler = network.dgc_message_endpoints[target.id]
+    network.dgc_message_endpoints[target.id] = (
+        lambda m: (lanes.append("endpoint"), handler(m))
+    )
+    node = world.nodes["site-1"]
+    network._dgc_message_batch_sinks["site-1"] = (
+        lambda ts, ms: (lanes.append("batch"), node._on_dgc_messages(ts, ms))
+    )
+    responses = target.collector.messages_received
+    now = world.kernel.now
+    network.inject_remote_entries(
+        [(now, "site-1", AGGREGATE_KINDS[KIND_DGC_MESSAGE], [target.id],
+          [message])]
+    )
+    world.run_for(0.0001)
+    assert lanes == ["endpoint"]
+    assert target.collector.messages_received == responses + 1
+    single = _response_traffic(world)
+
+    # The same delivery through the aggregate unwrap (the run path)
+    # accounts its response identically.
+    reset_id_counter()
+    world, driver, target, message = _ingress_world(make_world)
+    world.nodes["site-1"]._on_dgc_messages([target.id], [message])
+    assert _response_traffic(world) == single
+    assert single[0] >= 1
